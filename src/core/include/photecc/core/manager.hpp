@@ -10,7 +10,9 @@
 #ifndef PHOTECC_CORE_MANAGER_HPP
 #define PHOTECC_CORE_MANAGER_HPP
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,6 +117,35 @@ class LinkManager {
   SystemConfig config_;
 };
 
+/// Run-scoped memo of one manager's configure(request, environment)
+/// results.  configure is a pure const function, so a repeated
+/// (request, environment) pair is answered bit-identically without a
+/// second solve; the key compares every field bit for bit.  A simulator
+/// shares one memo between all channels solving against the same
+/// manager for the length of one run.  Not thread-safe.
+class ConfigureMemo {
+ public:
+  explicit ConfigureMemo(std::shared_ptr<const LinkManager> manager);
+
+  /// manager().configure(request, environment), solved once per key.
+  [[nodiscard]] const std::optional<LinkConfiguration>& configure(
+      const CommunicationRequest& request,
+      const env::EnvironmentSample& environment);
+
+  [[nodiscard]] const std::shared_ptr<const LinkManager>& manager()
+      const noexcept {
+    return manager_;
+  }
+  /// Distinct (request, environment) pairs solved so far.
+  [[nodiscard]] std::size_t size() const noexcept { return results_.size(); }
+
+ private:
+  using Key = std::array<std::uint64_t, 8>;
+
+  std::shared_ptr<const LinkManager> manager_;
+  std::map<Key, std::optional<LinkConfiguration>> results_;
+};
+
 /// Knobs of the closed recalibration loop.
 struct RecalibrationConfig {
   /// Re-solve when the sampled activity drifts more than this from the
@@ -152,6 +183,12 @@ class RecalibratingManager {
   RecalibratingManager(std::shared_ptr<const LinkManager> manager,
                        RecalibrationConfig config = {});
 
+  /// Same, solving through `memo` (which must outlive this object) so
+  /// wrappers of one manager share solves.  Hysteresis, counters and
+  /// costs stay per wrapper: a memo hit still counts as this wrapper's
+  /// solve.
+  RecalibratingManager(ConfigureMemo& memo, RecalibrationConfig config = {});
+
   /// Resolves `request` at `environment`, reusing the cached
   /// configuration while the activity stays within the hysteresis band.
   /// `recalibrated` is true only for drift-triggered re-solves (not the
@@ -182,6 +219,7 @@ class RecalibratingManager {
   };
 
   std::shared_ptr<const LinkManager> manager_;
+  ConfigureMemo* memo_ = nullptr;
   RecalibrationConfig config_;
   RecalibrationStats stats_;
   std::vector<CacheEntry> cache_;

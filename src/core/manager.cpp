@@ -1,6 +1,7 @@
 #include "photecc/core/manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -106,6 +107,29 @@ double LinkManager::best_reachable_ber(
   return best;
 }
 
+ConfigureMemo::ConfigureMemo(std::shared_ptr<const LinkManager> manager)
+    : manager_(std::move(manager)) {
+  if (!manager_) throw std::invalid_argument("ConfigureMemo: null manager");
+}
+
+const std::optional<LinkConfiguration>& ConfigureMemo::configure(
+    const CommunicationRequest& request,
+    const env::EnvironmentSample& environment) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const Key key{bits(request.target_ber),
+                static_cast<std::uint64_t>(request.policy),
+                request.max_ct.has_value(),
+                bits(request.max_ct.value_or(0.0)),
+                request.max_channel_power_w.has_value(),
+                bits(request.max_channel_power_w.value_or(0.0)),
+                bits(environment.time_s),
+                bits(environment.activity)};
+  const auto it = results_.find(key);
+  if (it != results_.end()) return it->second;
+  return results_.emplace(key, manager_->configure(request, environment))
+      .first->second;
+}
+
 RecalibratingManager::RecalibratingManager(
     std::shared_ptr<const LinkManager> manager, RecalibrationConfig config)
     : manager_(std::move(manager)), config_(config) {
@@ -114,6 +138,12 @@ RecalibratingManager::RecalibratingManager(
   if (config_.activity_hysteresis < 0.0)
     throw std::invalid_argument(
         "RecalibratingManager: negative hysteresis");
+}
+
+RecalibratingManager::RecalibratingManager(ConfigureMemo& memo,
+                                           RecalibrationConfig config)
+    : RecalibratingManager(memo.manager(), config) {
+  memo_ = &memo;
 }
 
 RecalibratingManager::Outcome RecalibratingManager::configure(
@@ -139,7 +169,8 @@ RecalibratingManager::Outcome RecalibratingManager::configure(
     entry = &cache_.back();
   }
   entry->activity = environment.activity;
-  entry->configuration = manager_->configure(request, environment);
+  entry->configuration = memo_ ? memo_->configure(request, environment)
+                               : manager_->configure(request, environment);
   ++stats_.solves;
   // Only a drift-triggered re-solve is a recalibration; the cold first
   // solve of a request is the ordinary manager round trip.

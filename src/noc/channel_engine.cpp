@@ -1,8 +1,9 @@
 #include "photecc/noc/channel_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
+#include <cstdint>
 #include <utility>
 
 namespace photecc::noc {
@@ -34,9 +35,6 @@ void finalize_stats(
 }
 
 void run_channel(std::vector<Message>& messages, const ChannelParams& params,
-                 const std::shared_ptr<const core::LinkManager>& manager,
-                 const std::function<bool(const core::CommunicationRequest&)>&
-                     baseline_feasible,
                  const std::vector<ChannelSink>& sinks) {
   const std::size_t nw = params.wavelengths;
   const double f_mod = params.f_mod_hz;
@@ -54,12 +52,55 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
                : it->second;
   };
 
-  std::stable_sort(messages.begin(), messages.end(),
-                   [](const Message& a, const Message& b) {
-                     return a.creation_time_s < b.creation_time_s;
-                   });
-  // Round-robin arbitration among the writers of this channel.
-  std::vector<std::deque<Message>> queues(params.queue_count);
+  const auto by_creation = [](const Message& a, const Message& b) {
+    return a.creation_time_s < b.creation_time_s;
+  };
+  if (!std::is_sorted(messages.begin(), messages.end(), by_creation))
+    std::stable_sort(messages.begin(), messages.end(), by_creation);
+
+  // Round-robin arbitration among the writers of this channel.  Writer
+  // w's FIFO runs head[w] -> next[...] -> tail[w] over indices into
+  // `messages`; head/tail are meaningful only while w's bit in `ready`
+  // is set.
+  const std::size_t queue_count = params.queue_count;
+  std::vector<std::size_t> head(queue_count, 0);
+  std::vector<std::size_t> tail(queue_count, 0);
+  std::vector<std::size_t> next(messages.size(), 0);
+  const std::size_t words = (queue_count + 63) / 64;
+  std::vector<std::uint64_t> ready(words, 0);
+  std::size_t pending = 0;
+  const auto push = [&](std::size_t writer, std::size_t index) {
+    std::uint64_t& word = ready[writer / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (writer % 64);
+    if (word & bit) {
+      next[tail[writer]] = index;
+    } else {
+      word |= bit;
+      head[writer] = index;
+    }
+    tail[writer] = index;
+    ++pending;
+  };
+  const auto pop = [&](std::size_t writer) {
+    const std::size_t index = head[writer];
+    if (index == tail[writer])
+      ready[writer / 64] &= ~(std::uint64_t{1} << (writer % 64));
+    else
+      head[writer] = next[index];
+    --pending;
+    return index;
+  };
+  // First non-empty writer at or after `from`, wrapping past the last
+  // writer back to `from`'s own word; requires pending > 0.
+  const auto next_ready = [&](std::size_t from) {
+    std::size_t word = from / 64;
+    std::uint64_t bits = ready[word] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      word = word + 1 == words ? 0 : word + 1;
+      bits = ready[word];
+    }
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  };
   std::size_t arrival_index = 0;
   std::size_t rr_next = 0;
   double now = 0.0;
@@ -70,7 +111,8 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
   // busy fractions) and the recalibrating manager wrapping the
   // static solver with drift hysteresis.
   env::ThermalIntegrator integrator{timeline};
-  core::RecalibratingManager recal{manager, recal_config};
+  core::ConfigureMemo& memo = *params.memo;
+  core::RecalibratingManager recal{memo, recal_config};
   double last_advance_t = 0.0;
   double busy_since_advance = 0.0;
   // Grant times are monotone per channel, so the phase lookup is an
@@ -85,39 +127,22 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
     return phase_cursor;
   };
 
-  const auto pending_count = [&] {
-    std::size_t count = 0;
-    for (const auto& q : queues) count += q.size();
-    return count;
-  };
-
-  while (arrival_index < messages.size() || pending_count() > 0) {
+  while (arrival_index < messages.size() || pending > 0) {
     // Admit every arrival up to `now`; if the channel is idle with no
     // pending work, fast-forward to the next arrival.
-    if (pending_count() == 0 &&
-        messages[arrival_index].creation_time_s > now) {
+    if (pending == 0 && messages[arrival_index].creation_time_s > now) {
       now = messages[arrival_index].creation_time_s;
     }
     while (arrival_index < messages.size() &&
            messages[arrival_index].creation_time_s <= now + 1e-15) {
-      const Message& m = messages[arrival_index];
-      queues[m.source].push_back(m);
+      push(messages[arrival_index].source, arrival_index);
       ++arrival_index;
     }
-    if (pending_count() == 0) continue;
+    if (pending == 0) continue;
 
-    // Round-robin grant.
-    std::size_t granted = rr_next;
-    for (std::size_t step = 0; step < params.queue_count; ++step) {
-      const std::size_t candidate = (rr_next + step) % params.queue_count;
-      if (!queues[candidate].empty()) {
-        granted = candidate;
-        break;
-      }
-    }
-    rr_next = (granted + 1) % params.queue_count;
-    Message msg = queues[granted].front();
-    queues[granted].pop_front();
+    const std::size_t granted = next_ready(rr_next);
+    rr_next = (granted + 1) % queue_count;
+    const Message& msg = messages[pop(granted)];
 
     const double grant_time = std::max(now, msg.creation_time_s);
 
@@ -150,7 +175,9 @@ void run_channel(std::vector<Message>& messages, const ChannelParams& params,
       for (const ChannelSink& sink : sinks) ++sink.stats->dropped;
       if (has_env) {
         const std::size_t phase = phase_of(grant_time);
-        const bool thermal = baseline_feasible(request);
+        const bool thermal =
+            memo.configure(request, memo.manager()->channel().environment())
+                .has_value();
         for (const ChannelSink& sink : sinks) {
           if (sink.phase_stats) ++(*sink.phase_stats)[phase].dropped;
           if (thermal) ++sink.stats->dropped_thermal;

@@ -8,6 +8,23 @@
 // paper's per-transfer energy model.  The engine itself holds no
 // totals — every statistic is written through one or more ChannelSinks.
 //
+// Per-message cost does not grow with the writer count.  The writer
+// queues are FIFO lists threaded through indices into the sorted
+// schedule (a head and tail per writer, a next link per message), a
+// running count tracks pending messages, and the round-robin grant is a
+// count-trailing-zeros search over a bitset of non-empty writers that
+// wraps at the grant pointer (one word per 64 writers at worst).  Only
+// setting up the head/tail arrays and the bitset scales with
+// queue_count, once per call.
+//
+// Link solves go through a run-scoped core::ConfigureMemo (see
+// ChannelParams::memo).  Every channel solving against the same manager
+// shares one memo, so identical channels solve each (request,
+// environment sample) pair once per run.  LinkManager::configure is
+// pure and the memo key is that exact pair, so results are
+// bit-identical; each channel keeps its own RecalibratingManager with
+// its own hysteresis, counters and recalibration costs.
+//
 // The multi-sink design is what keeps the refactor bit-identical: a
 // network run hands each channel BOTH its per-channel sink and the
 // shared aggregate sink, so the aggregate accumulates message by
@@ -19,9 +36,7 @@
 #define PHOTECC_NOC_CHANNEL_ENGINE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "photecc/core/manager.hpp"
@@ -75,18 +90,16 @@ struct ChannelParams {
   const std::map<TrafficClass, ClassRequirements>* class_requirements =
       nullptr;
   const ClassRequirements* default_requirements = nullptr;
+  /// Run-scoped solve memo of this channel's manager (required).  It
+  /// also classifies drops: under an environment timeline a drop is
+  /// thermal when the request is feasible at the manager's t = 0
+  /// baseline sample.
+  core::ConfigureMemo* memo = nullptr;
 };
 
-/// Simulates one channel's schedule (sorted in place by creation time)
-/// and accumulates into every sink.  `baseline_feasible` classifies a
-/// drop as thermal when the request is feasible at the t = 0 baseline;
-/// it is consulted only on drops under an environment timeline, and the
-/// caller owns any caching (the single-channel simulator shares one
-/// cache across channels because they share one manager).
+/// Simulates one channel's schedule (stable-sorted in place by creation
+/// time unless already sorted) and accumulates into every sink.
 void run_channel(std::vector<Message>& messages, const ChannelParams& params,
-                 const std::shared_ptr<const core::LinkManager>& manager,
-                 const std::function<bool(const core::CommunicationRequest&)>&
-                     baseline_feasible,
                  const std::vector<ChannelSink>& sinks);
 
 /// Finalises a sink's accumulated statistics after its last channel

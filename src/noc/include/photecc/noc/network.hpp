@@ -7,9 +7,10 @@
 //
 //  * a NetworkTopology maps tiles to shared channels (interleaved or
 //    blocked), so K can be much smaller than N;
-//  * every channel owns its manager, its coding-scheme menu and its
-//    thermal environment timeline — hot-spot readers can run strong
-//    codes while cool edge channels stay uncoded;
+//  * every channel has its own coding-scheme menu and thermal
+//    environment timeline — hot-spot readers can run strong codes
+//    while cool edge channels stay uncoded; channels whose settings
+//    resolve equal share one manager and its solves;
 //  * arbitration is per channel over per-tile virtual-channel queues,
 //    the same round-robin grant the paper's arbiter uses.
 //
@@ -147,15 +148,17 @@ class NetworkSimulator {
   [[nodiscard]] const NetworkConfig& config() const noexcept {
     return config_;
   }
-  /// The manager owning channel `ch`'s link budget and code menu.
+  /// The manager owning channel `ch`'s link budget and code menu;
+  /// channels with equal resolved overrides share one.
   [[nodiscard]] const core::LinkManager& manager(std::size_t ch) const {
-    return *managers_.at(ch);
+    return *managers_[manager_of_.at(ch)];
   }
 
  private:
   NetworkConfig config_;
-  /// Resolved per-channel state (post override-inheritance).
-  std::vector<std::shared_ptr<core::LinkManager>> managers_;
+  /// One manager per distinct resolved link (post override-inheritance).
+  std::vector<std::shared_ptr<const core::LinkManager>> managers_;
+  std::vector<std::size_t> manager_of_;  ///< channel -> managers_ index
   std::vector<bool> has_env_;
 };
 

@@ -1,5 +1,6 @@
 #include "photecc/noc/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -55,10 +56,13 @@ NetworkSimulator::NetworkSimulator(NetworkConfig config)
   }
   if (config_.scheme_menu.empty()) config_.scheme_menu = ecc::paper_schemes();
 
-  managers_.reserve(channel_count);
+  // Channels whose overrides resolve to the same environment, ONI count
+  // and menu (the same code pointers) solve the same link: they share
+  // one manager, and run() shares that manager's solves among them.
+  manager_of_.reserve(channel_count);
   has_env_.reserve(channel_count);
   for (std::size_t ch = 0; ch < channel_count; ++ch) {
-    NetworkChannelConfig& overrides = config_.channels[ch];
+    const NetworkChannelConfig& overrides = config_.channels[ch];
     link::MwsrParams link = config_.base_link;
     if (overrides.environment) link.environment = overrides.environment;
     const std::size_t oni =
@@ -66,13 +70,24 @@ NetworkSimulator::NetworkSimulator(NetworkConfig config)
     if (oni < 2)
       throw std::invalid_argument("NetworkSimulator: need >= 2 ONIs");
     link.oni_count = oni;
-    core::SystemConfig system = config_.system;
-    system.oni_count = oni;
     const auto& menu = overrides.scheme_menu.empty() ? config_.scheme_menu
                                                      : overrides.scheme_menu;
-    managers_.push_back(std::make_shared<core::LinkManager>(
-        link::MwsrChannel(link), menu, system));
     has_env_.push_back(link.environment.has_value());
+
+    const auto same_link = [&](const auto& manager) {
+      const link::MwsrParams& params = manager->channel().params();
+      return params.environment == link.environment &&
+             params.oni_count == oni && manager->codes() == menu;
+    };
+    const auto found =
+        std::find_if(managers_.begin(), managers_.end(), same_link);
+    manager_of_.push_back(
+        static_cast<std::size_t>(found - managers_.begin()));
+    if (found != managers_.end()) continue;
+    core::SystemConfig system = config_.system;
+    system.oni_count = oni;
+    managers_.push_back(std::make_shared<const core::LinkManager>(
+        link::MwsrChannel(link), menu, system));
   }
 }
 
@@ -114,7 +129,7 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
       channel_count);
   bool shared_env = true;
   for (std::size_t ch = 0; ch < channel_count; ++ch) {
-    timelines[ch] = &managers_[ch]->channel().environment_timeline();
+    timelines[ch] = &manager(ch).channel().environment_timeline();
     if (has_env_[ch]) windows[ch] = timelines[ch]->phase_windows(horizon_s);
     if (!has_env_[ch] || !(*timelines[ch] == *timelines[0]))
       shared_env = false;
@@ -156,6 +171,12 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
   params.class_requirements = &config_.class_requirements;
   params.default_requirements = &config_.default_requirements;
 
+  // One run-scoped solve memo per distinct manager, shared by every
+  // channel solving against it.
+  std::vector<core::ConfigureMemo> memos;
+  memos.reserve(managers_.size());
+  for (const auto& manager : managers_) memos.emplace_back(manager);
+
   ChannelSink aggregate;
   aggregate.stats = &result.stats.aggregate;
   aggregate.latencies = &agg_latencies;
@@ -170,6 +191,7 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
     params.has_env = has_env_[ch];
     params.timeline = timelines[ch];
     params.windows = &windows[ch];
+    params.memo = &memos[manager_of_[ch]];
 
     NocStats& channel_stats = result.stats.channels[ch];
     channel_stats.horizon_s = horizon_s;
@@ -188,20 +210,7 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
     sink.phase_stats = has_env_[ch] ? &phase_stats : nullptr;
     sink.phase_latency = has_env_[ch] ? &phase_latency : nullptr;
 
-    // Thermal drop classification solves against this channel's own
-    // manager (its link budget and menu), cached per channel.
-    std::vector<std::pair<core::CommunicationRequest, bool>> baseline_cache;
-    const auto baseline_feasible =
-        [&](const core::CommunicationRequest& r) {
-          for (const auto& [request, feasible] : baseline_cache)
-            if (request == r) return feasible;
-          const bool feasible = managers_[ch]->configure(r).has_value();
-          baseline_cache.emplace_back(r, feasible);
-          return feasible;
-        };
-
-    run_channel(per_channel[ch], params, managers_[ch], baseline_feasible,
-                {sink, aggregate});
+    run_channel(per_channel[ch], params, {sink, aggregate});
 
     finalize_stats(channel_stats, latencies, class_latency,
                    has_env_[ch] ? &phase_stats : nullptr,

@@ -84,22 +84,12 @@ NocRunResult NocSimulator::run(std::vector<Message> schedule,
 
   std::vector<double> latencies;
   std::map<TrafficClass, math::RunningStats> class_latency;
-  // Baseline (t = 0) feasibility per request, for classifying drops as
-  // thermal: lazily solved, cached by request.
-  std::vector<std::pair<core::CommunicationRequest, bool>>
-      baseline_feasibility;
-  const auto baseline_feasible = [&](const core::CommunicationRequest& r) {
-    for (const auto& [request, feasible] : baseline_feasibility)
-      if (request == r) return feasible;
-    const bool feasible = manager_->configure(r).has_value();
-    baseline_feasibility.emplace_back(r, feasible);
-    return feasible;
-  };
-
   // Every reader channel runs through the shared channel engine with
   // one sink: this simulator's aggregate.  Channels run in ONI order,
   // so the aggregate accumulates message by message exactly as the
-  // original single-loop implementation did.
+  // original single-loop implementation did.  All channels share one
+  // manager, so they share one solve memo.
+  core::ConfigureMemo memo(manager_);
   ChannelParams params;
   params.queue_count = config_.oni_count;
   params.wavelengths = nw;
@@ -116,6 +106,7 @@ NocRunResult NocSimulator::run(std::vector<Message> schedule,
   params.recalibration = recal_config;
   params.class_requirements = &config_.class_requirements;
   params.default_requirements = &config_.default_requirements;
+  params.memo = &memo;
 
   ChannelSink sink;
   sink.stats = &result.stats;
@@ -128,7 +119,7 @@ NocRunResult NocSimulator::run(std::vector<Message> schedule,
 
   for (std::size_t ch = 0; ch < config_.oni_count; ++ch) {
     params.channel_index = ch;
-    run_channel(per_channel[ch], params, manager_, baseline_feasible, {sink});
+    run_channel(per_channel[ch], params, {sink});
   }
 
   finalize_stats(result.stats, latencies, class_latency,

@@ -107,6 +107,50 @@ TEST(RecalibratingManager, EnvironmentAwareConfigureMatchesStaticAtBaseline) {
   EXPECT_EQ(statically->metrics.scheme, sampled->metrics.scheme);
 }
 
+TEST(ConfigureMemo, WrappersShareSolvesButKeepTheirOwnCounters) {
+  const auto manager = paper_manager();
+  ConfigureMemo memo(manager);
+  RecalibratingManager first{memo};
+  RecalibratingManager second{memo};
+  const auto request = request_at(1e-9);
+  const env::EnvironmentSample sample{0.0, 0.25};
+  (void)first.configure(request, sample);
+  const auto shared = second.configure(request, sample);
+  EXPECT_EQ(memo.size(), 1u);  // the second cold solve was a memo hit
+  // ... but still counts as the second wrapper's own solve.
+  EXPECT_EQ(first.stats().solves, 1u);
+  EXPECT_EQ(second.stats().solves, 1u);
+  EXPECT_FALSE(shared.recalibrated);
+
+  const auto direct = manager->configure(request, sample);
+  ASSERT_TRUE(direct.has_value());
+  ASSERT_TRUE(shared.configuration.has_value());
+  EXPECT_EQ(shared.configuration->code, direct->code);
+  EXPECT_EQ(shared.configuration->laser_output_w, direct->laser_output_w);
+  EXPECT_EQ(shared.configuration->metrics.p_channel_w,
+            direct->metrics.p_channel_w);
+}
+
+TEST(ConfigureMemo, KeyIsTheExactRequestAndSample) {
+  ConfigureMemo memo(paper_manager());
+  const auto request = request_at(1e-9);
+  (void)memo.configure(request, {0.0, 0.25});
+  (void)memo.configure(request, {0.0, 0.25});
+  EXPECT_EQ(memo.size(), 1u);
+  (void)memo.configure(request, {1e-9, 0.25});  // another time
+  (void)memo.configure(request, {0.0, 0.26});   // another activity
+  CommunicationRequest capped = request;
+  capped.max_ct = 1.0;
+  (void)memo.configure(capped, {0.0, 0.25});
+  // A zero power cap is a different request from no cap.
+  CommunicationRequest zero_cap = request;
+  zero_cap.max_channel_power_w = 0.0;
+  EXPECT_FALSE(memo.configure(zero_cap, {0.0, 0.25}).has_value());
+  EXPECT_TRUE(memo.configure(request, {0.0, 0.25}).has_value());
+  EXPECT_EQ(memo.size(), 5u);
+  EXPECT_THROW(ConfigureMemo{nullptr}, std::invalid_argument);
+}
+
 TEST(RecalibratingManager, Validation) {
   EXPECT_THROW(RecalibratingManager(nullptr), std::invalid_argument);
   RecalibrationConfig negative;

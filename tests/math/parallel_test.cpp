@@ -99,11 +99,14 @@ TEST(ParallelFor, WorkersJoinAfterThrowAndPoolIsReusable) {
   }
   // The counters are stable after the call returns: if a worker were
   // still running it could race these reads (TSan would flag it).
+  // How many cells started before the others saw the failure depends
+  // on scheduling (on several cores they may drain all 1000), so only
+  // the throwing cell's own count is asserted.
   const int started_now = started.load();
   const int finished_now = finished.load();
   EXPECT_EQ(started_now, started.load());
-  EXPECT_LE(finished_now, started_now);
-  EXPECT_LT(started_now, 1000);  // remaining indices were abandoned
+  EXPECT_EQ(finished_now, finished.load());
+  EXPECT_LT(finished_now, started_now);  // cell 3 started, never finished
 
   // The primitive is stateless across calls: a fresh run completes.
   std::vector<int> out(50, 0);

@@ -248,6 +248,31 @@ TEST(NetworkSimulator, HeterogeneousCodingSavesTheHotChannel) {
   EXPECT_EQ(hardened.stats.channels[1].scheme_usage.count("w/o ECC"), 1u);
 }
 
+TEST(NetworkSimulator, ChannelsWithEqualOverridesShareAManager) {
+  NetworkConfig config;
+  config.topology.tile_count = 8;
+  config.topology.channel_count = 4;
+  config.channels.resize(4);
+  config.channels[1].oni_count = 8;  // equal to the inherited tile count
+  config.channels[2].oni_count = 6;
+  config.channels[3].environment = env::EnvironmentTimeline::constant(0.25);
+  const NetworkSimulator network(config);
+  EXPECT_EQ(&network.manager(0), &network.manager(1));
+  EXPECT_NE(&network.manager(0), &network.manager(2));
+  EXPECT_NE(&network.manager(0), &network.manager(3));
+
+  // A menu is compared by its code pointers: a separately made code
+  // with the same name is another menu.
+  config.scheme_menu = {ecc::make_code("H(7,4)")};
+  config.channels.assign(4, {});
+  config.channels[1].scheme_menu = config.scheme_menu;
+  config.channels[2].scheme_menu = {ecc::make_code("H(7,4)")};
+  const NetworkSimulator menus(config);
+  EXPECT_EQ(&menus.manager(0), &menus.manager(1));
+  EXPECT_NE(&menus.manager(0), &menus.manager(2));
+  EXPECT_EQ(&menus.manager(0), &menus.manager(3));
+}
+
 TEST(NetworkSimulator, RejectsBadSchedulesAndGeometries) {
   NetworkConfig config;
   config.topology.tile_count = 4;
