@@ -38,7 +38,7 @@
 #include "photecc/explore/runner.hpp"
 #include "photecc/link/snr_solver.hpp"
 #include "photecc/math/table.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 namespace {
 
@@ -176,10 +176,11 @@ bool closed_loop(bool smoke) {
     double peak_activity = 0.0;
   };
   const auto run_menu = [&](const std::string& scheme) {
-    noc::NocConfig config;
-    config.oni_count = 16;
-    config.link_params = hot_channel_params();
-    config.link_params.environment = environment;
+    noc::NetworkConfig config;
+    config.topology.tile_count = 16;
+    config.topology.channel_count = 16;
+    config.base_link = hot_channel_params();
+    config.base_link.environment = environment;
     config.scheme_menu = {ecc::make_code(scheme)};
     config.default_requirements.target_ber = kTargetBer;
     std::vector<noc::Message> schedule;
@@ -194,14 +195,15 @@ bool closed_loop(bool smoke) {
       m.creation_time_s = static_cast<double>(i) * period;
       schedule.push_back(m);
     }
-    const auto result =
-        noc::NocSimulator(config).run(std::move(schedule), horizon);
+    const auto run =
+        noc::NetworkSimulator(config).run(std::move(schedule), horizon);
+    const noc::NocStats& stats = run.stats.aggregate;
     MenuResult out;
     out.name = scheme;
-    out.delivered = result.stats.delivered;
-    out.dropped_thermal = result.stats.dropped_thermal;
-    out.recalibrations = result.stats.recalibrations;
-    out.peak_activity = result.stats.peak_activity;
+    out.delivered = stats.delivered;
+    out.dropped_thermal = stats.dropped_thermal;
+    out.recalibrations = stats.recalibrations;
+    out.peak_activity = stats.peak_activity;
     return out;
   };
 

@@ -8,7 +8,7 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/math/table.hpp"
 #include "photecc/math/units.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 namespace {
 
@@ -34,8 +34,16 @@ noc::MixedTraffic make_workload() {
   return noc::MixedTraffic({rt, mm, be});
 }
 
-noc::NocConfig adaptive_config() {
-  noc::NocConfig config;
+/// The paper's topology: 12 ONIs, one reader channel each.
+noc::NetworkConfig paper_noc() {
+  noc::NetworkConfig config;
+  config.topology.tile_count = 12;
+  config.topology.channel_count = 12;
+  return config;
+}
+
+noc::NetworkConfig adaptive_config() {
+  noc::NetworkConfig config = paper_noc();
   config.scheme_menu = ecc::paper_schemes();
   config.class_requirements[noc::TrafficClass::kRealTime] =
       noc::ClassRequirements{1e-9, core::Policy::kMinTime, 1.0,
@@ -49,8 +57,8 @@ noc::NocConfig adaptive_config() {
   return config;
 }
 
-noc::NocConfig static_config(const char* code) {
-  noc::NocConfig config;
+noc::NetworkConfig static_config(const char* code) {
+  noc::NetworkConfig config = paper_noc();
   config.scheme_menu = {ecc::make_code(code)};
   config.default_requirements.target_ber = 1e-9;
   config.class_requirements.clear();
@@ -58,8 +66,8 @@ noc::NocConfig static_config(const char* code) {
 }
 
 void report_row(math::TextTable& table, const std::string& label,
-                const noc::NocRunResult& result) {
-  const auto& s = result.stats;
+                const noc::NetworkRunResult& result) {
+  const auto& s = result.stats.aggregate;
   table.add_row({
       label,
       std::to_string(s.delivered),
@@ -90,14 +98,14 @@ int main() {
 
   for (const bool gating : {true, false}) {
     for (const auto& [label, config] :
-         std::vector<std::pair<std::string, noc::NocConfig>>{
+         std::vector<std::pair<std::string, noc::NetworkConfig>>{
              {"adaptive", adaptive_config()},
              {"static w/o ECC", static_config("w/o ECC")},
              {"static H(71,64)", static_config("H(71,64)")},
              {"static H(7,4)", static_config("H(7,4)")}}) {
-      noc::NocConfig run_config = config;
+      noc::NetworkConfig run_config = config;
       run_config.laser_gating = gating;
-      const noc::NocSimulator sim(run_config);
+      const noc::NetworkSimulator sim(run_config);
       const auto result = sim.run(workload, horizon, seed);
       report_row(table,
                  label + (gating ? " (gated)" : " (always-on)"), result);
@@ -106,11 +114,11 @@ int main() {
   table.render(std::cout);
 
   // Scheme usage of the adaptive run, to show the manager at work.
-  const noc::NocSimulator sim(adaptive_config());
+  const noc::NetworkSimulator sim(adaptive_config());
   const auto result = sim.run(workload, horizon, seed);
   std::cout << "\nAdaptive scheme usage: ";
   bool first = true;
-  for (const auto& [scheme, count] : result.stats.scheme_usage) {
+  for (const auto& [scheme, count] : result.stats.aggregate.scheme_usage) {
     if (!first) std::cout << ", ";
     std::cout << scheme << " x" << count;
     first = false;

@@ -28,7 +28,7 @@
 #include "photecc/link/snr_solver.hpp"
 #include "photecc/math/table.hpp"
 #include "photecc/math/units.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 namespace {
 
@@ -163,9 +163,10 @@ void transient_ramp(bool smoke) {
   math::TextTable noc_table({"menu", "delivered", "dropped(thermal)",
                              "recalibrations", "per-phase delivered"});
   for (const char* scheme : {"w/o ECC", "H(7,4)"}) {
-    noc::NocConfig config;
-    config.oni_count = 12;
-    config.link_params.environment = ramp;
+    noc::NetworkConfig config;
+    config.topology.tile_count = 12;
+    config.topology.channel_count = 12;
+    config.base_link.environment = ramp;
     config.scheme_menu = {ecc::make_code(scheme)};
     config.default_requirements.target_ber = kTargetBer;
     std::vector<noc::Message> schedule;
@@ -180,18 +181,19 @@ void transient_ramp(bool smoke) {
       m.creation_time_s = static_cast<double>(i) * period;
       schedule.push_back(m);
     }
-    const auto result =
-        noc::NocSimulator(config).run(std::move(schedule), horizon);
+    const auto run =
+        noc::NetworkSimulator(config).run(std::move(schedule), horizon);
+    const noc::NocStats& stats = run.stats.aggregate;
     std::string phases;
-    for (const auto& phase : result.stats.phases) {
+    for (const auto& phase : stats.phases) {
       if (!phases.empty()) phases += " / ";
       phases += phase.label + ":" + std::to_string(phase.delivered);
     }
     noc_table.add_row(
-        {scheme, std::to_string(result.stats.delivered),
-         std::to_string(result.stats.dropped) + " (" +
-             std::to_string(result.stats.dropped_thermal) + ")",
-         std::to_string(result.stats.recalibrations), phases});
+        {scheme, std::to_string(stats.delivered),
+         std::to_string(stats.dropped) + " (" +
+             std::to_string(stats.dropped_thermal) + ")",
+         std::to_string(stats.recalibrations), phases});
   }
   noc_table.render(std::cout);
   std::cout << "\nReading: the static table freezes one operating "

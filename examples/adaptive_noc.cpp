@@ -1,5 +1,6 @@
 // Adaptive ONoC demo: runs a mixed real-time / multimedia / best-effort
-// workload through the MWSR NoC simulator twice — once with the
+// workload through the paper's MWSR NoC (one reader channel per ONI, on
+// noc::NetworkSimulator) twice — once with the
 // energy/performance manager choosing the scheme per message, once
 // pinned to uncoded — and reports what adaptivity bought.
 //
@@ -10,7 +11,7 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/math/table.hpp"
 #include "photecc/math/units.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 int main(int argc, char** argv) {
   using namespace photecc;
@@ -53,7 +54,9 @@ int main(int argc, char** argv) {
        std::make_shared<noc::UniformRandomTraffic>(
            12, 2e6, 4096, noc::TrafficClass::kBestEffort)});
 
-  noc::NocConfig adaptive;
+  noc::NetworkConfig adaptive;
+  adaptive.topology.tile_count = 12;
+  adaptive.topology.channel_count = 12;
   adaptive.laser_gating = gating;
   adaptive.scheme_menu = ecc::paper_schemes();
   adaptive.class_requirements[noc::TrafficClass::kRealTime] =
@@ -66,19 +69,19 @@ int main(int argc, char** argv) {
       noc::ClassRequirements{1e-9, core::Policy::kMinEnergy, std::nullopt,
                              std::nullopt};
 
-  noc::NocConfig pinned = adaptive;
+  noc::NetworkConfig pinned = adaptive;
   pinned.scheme_menu = {ecc::make_code("w/o ECC")};
   pinned.class_requirements.clear();
   pinned.default_requirements.target_ber = 1e-9;
 
   const auto run_adaptive =
-      noc::NocSimulator(adaptive).run(workload, horizon, seed);
+      noc::NetworkSimulator(adaptive).run(workload, horizon, seed);
   const auto run_pinned =
-      noc::NocSimulator(pinned).run(workload, horizon, seed);
+      noc::NetworkSimulator(pinned).run(workload, horizon, seed);
 
   math::TextTable table({"metric", "adaptive manager", "pinned w/o ECC"});
-  const auto& a = run_adaptive.stats;
-  const auto& p = run_pinned.stats;
+  const auto& a = run_adaptive.stats.aggregate;
+  const auto& p = run_pinned.stats.aggregate;
   table.add_row({"messages delivered", std::to_string(a.delivered),
                  std::to_string(p.delivered)});
   table.add_row({"deadline misses", std::to_string(a.deadline_misses),

@@ -285,7 +285,7 @@ int run_config(const spec::ExperimentSpec& experiment,
 }
 
 /// 1-vs-N byte-identity self-check of one spec (the --config --smoke
-/// path CI runs on examples/specs/*.json).
+/// path ctest runs on examples/specs/*.json).
 int run_config_smoke(const spec::ExperimentSpec& experiment) {
   spec::ExperimentSpec sequential_spec = experiment;
   sequential_spec.threads = 1;

@@ -5,7 +5,7 @@
 //                                  {"kind":"shutdown"} request or EOF
 //   serve_cli --socket PATH        same loop over a unix-domain socket,
 //                                  one client at a time, shared cache
-//   serve_cli --smoke              CI self-check: two identical fig6b
+//   serve_cli --smoke              self-check: two identical fig6b
 //                                  requests + one distinct spec piped
 //                                  through a fresh service — duplicate
 //                                  responses byte-identical, exactly

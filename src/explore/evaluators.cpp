@@ -12,7 +12,6 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/link/link_budget.hpp"
 #include "photecc/noc/network.hpp"
-#include "photecc/noc/simulator.hpp"
 #include "photecc/noc/traffic.hpp"
 
 namespace photecc::explore {
@@ -142,9 +141,8 @@ std::shared_ptr<const noc::TrafficGenerator> make_generator(
       noc::TrafficClass::kBestEffort, scenario.target_ber);
 }
 
-/// Aggregate columns shared by the NoC and network evaluators, in the
-/// noc_cell_metric_names() order (+ noc_env_metric_names() when
-/// env_columns).
+/// Aggregate columns, in the noc_cell_metric_names() order
+/// (+ noc_env_metric_names() when env_columns).
 void set_aggregate_metrics(CellResult& result, const noc::NocStats& stats,
                            std::uint64_t total_payload_bits,
                            bool env_columns) {
@@ -178,56 +176,13 @@ void set_aggregate_metrics(CellResult& result, const noc::NocStats& stats,
 
 }  // namespace
 
-CellResult evaluate_noc_cell(const Scenario& scenario) {
-  cooling::register_cooling_codes();
-  CellResult result;
-  result.index = scenario.index;
-  result.labels = scenario.labels;
-
-  noc::NocConfig config;
-  config.oni_count = scenario.link.oni_count;
-  config.link_params = scenario.link;
-  config.system = scenario.system;
-  config.scheme_menu = scenario.code
-                           ? std::vector<ecc::BlockCodePtr>{ecc::make_code(
-                                 *scenario.code)}
-                           : ecc::paper_schemes();
-  config.default_requirements.target_ber = scenario.target_ber;
-  config.default_requirements.policy = scenario.policy;
-  config.laser_gating = scenario.laser_gating;
-  const double duty_bound = menu_duty_bound(config.scheme_menu);
-
-  const noc::NocSimulator simulator{std::move(config)};
-  const auto generator = make_generator(scenario);
-  const noc::NocRunResult run =
-      simulator.run(*generator, scenario.noc_horizon_s, scenario.seed);
-
-  set_aggregate_metrics(result, run.stats, run.total_payload_bits,
-                        scenario.link.environment.has_value());
-  if (scenario.cooling_weight) result.set_metric("duty_bound", duty_bound);
-  return result;
-}
-
 CellResult evaluate_network_cell(const Scenario& scenario) {
-  if (!scenario.network) return evaluate_noc_cell(scenario);
   cooling::register_cooling_codes();
-  const NetworkSpec& net = *scenario.network;
-
   CellResult result;
   result.index = scenario.index;
   result.labels = scenario.labels;
 
   noc::NetworkConfig config;
-  config.topology.tile_count = net.tile_count;
-  config.topology.channel_count = net.channel_count;
-  if (net.mapping == "interleaved")
-    config.topology.mapping = noc::NetworkTopology::Mapping::kInterleaved;
-  else if (net.mapping == "blocked")
-    config.topology.mapping = noc::NetworkTopology::Mapping::kBlocked;
-  else
-    throw std::invalid_argument("NetworkSpec: unknown mapping '" +
-                                net.mapping +
-                                "' (expected interleaved or blocked)");
   config.base_link = scenario.link;
   config.system = scenario.system;
   config.scheme_menu = scenario.code
@@ -237,43 +192,57 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
   config.default_requirements.target_ber = scenario.target_ber;
   config.default_requirements.policy = scenario.policy;
   config.laser_gating = scenario.laser_gating;
+  bool env_columns = scenario.link.environment.has_value();
+  double duty_bound = menu_duty_bound(config.scheme_menu);
 
-  if (!net.channel_codes.empty() &&
-      net.channel_codes.size() != net.channel_count)
-    throw std::invalid_argument(
-        "NetworkSpec: channel_codes must name one code per channel");
-  if (!net.channel_environments.empty() &&
-      net.channel_environments.size() != net.channel_count)
-    throw std::invalid_argument(
-        "NetworkSpec: channel_environments must give one timeline per "
-        "channel");
-  if (!net.channel_codes.empty() || !net.channel_environments.empty()) {
-    config.channels.resize(net.channel_count);
-    for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
-      if (!net.channel_codes.empty() && !net.channel_codes[ch].empty())
-        config.channels[ch].scheme_menu = {
-            ecc::make_code(net.channel_codes[ch])};
-      if (!net.channel_environments.empty())
-        config.channels[ch].environment = net.channel_environments[ch].second;
+  if (!scenario.network) {
+    // The paper's Fig. 2a topology: one reader channel per ONI.
+    config.topology.tile_count = scenario.link.oni_count;
+    config.topology.channel_count = scenario.link.oni_count;
+  } else {
+    const NetworkSpec& net = *scenario.network;
+    config.topology.tile_count = net.tile_count;
+    config.topology.channel_count = net.channel_count;
+    if (net.mapping == "interleaved")
+      config.topology.mapping = noc::NetworkTopology::Mapping::kInterleaved;
+    else if (net.mapping == "blocked")
+      config.topology.mapping = noc::NetworkTopology::Mapping::kBlocked;
+    else
+      throw std::invalid_argument("NetworkSpec: unknown mapping '" +
+                                  net.mapping +
+                                  "' (expected interleaved or blocked)");
+
+    if (!net.channel_codes.empty() &&
+        net.channel_codes.size() != net.channel_count)
+      throw std::invalid_argument(
+          "NetworkSpec: channel_codes must name one code per channel");
+    if (!net.channel_environments.empty() &&
+        net.channel_environments.size() != net.channel_count)
+      throw std::invalid_argument(
+          "NetworkSpec: channel_environments must give one timeline per "
+          "channel");
+    if (!net.channel_codes.empty() || !net.channel_environments.empty()) {
+      config.channels.resize(net.channel_count);
+      for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
+        if (!net.channel_codes.empty() && !net.channel_codes[ch].empty())
+          config.channels[ch].scheme_menu = {
+              ecc::make_code(net.channel_codes[ch])};
+        if (!net.channel_environments.empty())
+          config.channels[ch].environment =
+              net.channel_environments[ch].second;
+      }
     }
-  }
+    env_columns = env_columns || !net.channel_environments.empty();
 
-  const bool env_columns = scenario.link.environment.has_value() ||
-                           !net.channel_environments.empty();
-  // The network-wide duty bound is the loosest channel's: every channel
-  // without a pinned cooling code can light all its wires.
-  double duty_bound = net.channel_codes.empty()
-                          ? menu_duty_bound(config.scheme_menu)
-                          : 0.0;
-  if (!net.channel_codes.empty()) {
-    const double menu_bound = menu_duty_bound(config.scheme_menu);
-    for (std::size_t ch = 0; ch < net.channel_count; ++ch) {
-      const bool pinned =
-          ch < config.channels.size() && !config.channels[ch].scheme_menu.empty();
-      duty_bound = std::max(
-          duty_bound, pinned
-                          ? menu_duty_bound(config.channels[ch].scheme_menu)
-                          : menu_bound);
+    // The network-wide duty bound is the loosest channel's: every
+    // channel without a pinned cooling code can light all its wires.
+    if (!net.channel_codes.empty()) {
+      duty_bound = 0.0;
+      for (const noc::NetworkChannelConfig& channel : config.channels)
+        duty_bound = std::max(
+            duty_bound, menu_duty_bound(channel.scheme_menu.empty()
+                                            ? config.scheme_menu
+                                            : channel.scheme_menu));
     }
   }
 
@@ -286,6 +255,7 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
                         env_columns);
   if (scenario.cooling_weight) result.set_metric("duty_bound", duty_bound);
 
+  if (!scenario.network) return result;
   for (std::size_t ch = 0; ch < run.stats.channels.size(); ++ch) {
     const noc::NocStats& cs = run.stats.channels[ch];
     const std::string prefix = "ch" + std::to_string(ch) + "_";

@@ -136,8 +136,9 @@ std::size_t ScenarioGrid::size() const {
          radix(environments_.size());
 }
 
-bool ScenarioGrid::has_noc_axes() const {
-  return !traffic_.empty() || !gating_.empty() || !policies_.empty();
+bool ScenarioGrid::runs_simulator() const {
+  return network_ || !traffic_.empty() || !gating_.empty() ||
+         !policies_.empty();
 }
 
 Scenario ScenarioGrid::at(std::size_t i) const {

@@ -107,17 +107,13 @@ class ScenarioGrid {
   /// no axis is declared — the grid still holds the single base cell).
   [[nodiscard]] std::size_t size() const;
 
-  /// True when any NoC-only axis (traffic, gating, policy) is declared.
-  [[nodiscard]] bool has_noc_axes() const;
-
-  /// True when a tiled-network configuration is declared.
-  [[nodiscard]] bool has_network() const noexcept {
-    return network_.has_value();
-  }
-  [[nodiscard]] const std::optional<NetworkSpec>& network_spec()
-      const noexcept {
-    return network_;
-  }
+  /// True when the grid's cells need the NoC simulator: a network
+  /// section or any NoC-only axis (traffic, gating, policy) is
+  /// declared.  Every other grid is a static link sweep that compiles to
+  /// an explore::LoweredPlan.  This is the one routing decision between
+  /// the two (SweepRunner::run, LoweredPlan, spec::run and serve all
+  /// ask it).
+  [[nodiscard]] bool runs_simulator() const;
 
   /// Materialises cell `i` (mixed-radix decode of the axis indices).
   /// Throws std::out_of_range for i >= size().

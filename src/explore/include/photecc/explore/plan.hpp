@@ -6,7 +6,7 @@
 // worst-channel scans — one in the solver, one in the link budget),
 // re-runs the (code, target BER) code-model inversion (~45 Brent
 // iterations) and re-formats its axis labels.  A LoweredPlan compiles a
-// non-NoC ScenarioGrid once:
+// ScenarioGrid that does not run the simulator once:
 //
 //   lower    - one channel + core::ChannelSweepPlan + link budget per
 //              distinct (link variant, ONI count, modulation,
@@ -45,8 +45,9 @@ struct PlanOptions {
 
 class LoweredPlan {
  public:
-  /// Compiles `grid` (which must not declare NoC axes — traffic, gating
-  /// or policy cells need the simulator, not the link solver; throws
+  /// Compiles `grid`, which must not run the simulator (a network
+  /// section or traffic/gating/policy cells need NetworkSimulator, not
+  /// the link solver; see ScenarioGrid::runs_simulator — throws
   /// std::invalid_argument).  The grid is fully consumed at
   /// construction and need not outlive the plan.
   explicit LoweredPlan(const ScenarioGrid& grid, PlanOptions options = {});

@@ -32,12 +32,12 @@ class SweepRunner {
   [[nodiscard]] ExperimentResult run(const ScenarioGrid& grid,
                                      const Evaluator& evaluate) const;
 
-  /// Convenience: grids with a NetworkSpec run evaluate_network_cell
-  /// per cell; NoC grids (traffic / gating / policy axes) run
-  /// evaluate_noc_cell per cell; every other grid is compiled to an
-  /// explore::LoweredPlan and executed on its batched hot path —
-  /// byte-identical exports to the evaluate_link_cell path, with
-  /// result.stats reporting the plan's counters.
+  /// Convenience: grids that run the simulator
+  /// (ScenarioGrid::runs_simulator) run evaluate_network_cell per cell;
+  /// every other grid is compiled to an explore::LoweredPlan and
+  /// executed on its batched hot path — byte-identical exports to the
+  /// evaluate_link_cell path, with result.stats reporting the plan's
+  /// counters.
   [[nodiscard]] ExperimentResult run(const ScenarioGrid& grid) const;
 
   [[nodiscard]] const SweepOptions& options() const noexcept {

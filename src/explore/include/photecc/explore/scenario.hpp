@@ -55,8 +55,9 @@ struct TrafficSpec {
 
 /// Tiled-network configuration (see noc::NetworkSimulator): the
 /// topology plus the per-channel coding and environment assignment.  A
-/// grid with a NetworkSpec routes cells through the network evaluator;
-/// all declared axes still sweep on top of it.
+/// grid with a NetworkSpec routes cells through the simulator; all
+/// declared axes still sweep on top of it.  Without one, simulated
+/// cells run the paper's topology: one channel per ONI.
 struct NetworkSpec {
   std::size_t tile_count = 16;
   std::size_t channel_count = 4;
@@ -90,8 +91,8 @@ struct Scenario {
   link::MwsrParams link{};
   core::SystemConfig system{};
   std::optional<TrafficSpec> traffic;  ///< set when the grid has NoC axes
-  /// Tiled-network configuration; set when the grid declares one (the
-  /// cell then evaluates on NetworkSimulator instead of NocSimulator).
+  /// Tiled-network configuration; set when the grid declares one (unset:
+  /// the simulator runs one channel per ONI).
   std::optional<NetworkSpec> network;
   bool laser_gating = true;
   core::Policy policy = core::Policy::kMinEnergy;

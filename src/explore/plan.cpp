@@ -27,10 +27,11 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 LoweredPlan::LoweredPlan(const ScenarioGrid& grid, PlanOptions options)
     : options_(options) {
-  if (grid.has_noc_axes())
+  if (grid.runs_simulator())
     throw std::invalid_argument(
-        "LoweredPlan: grid declares NoC axes (traffic/gating/policy); "
-        "those cells need the simulator evaluator");
+        "LoweredPlan: grid declares a network or NoC axes "
+        "(traffic/gating/policy); those cells need the simulator "
+        "evaluator");
   const auto start = std::chrono::steady_clock::now();
 
   // --- Effective axes: Scenario's defaults stand in for undeclared

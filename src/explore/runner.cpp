@@ -29,12 +29,11 @@ ExperimentResult SweepRunner::run(const ScenarioGrid& grid,
 }
 
 ExperimentResult SweepRunner::run(const ScenarioGrid& grid) const {
-  // NoC grids run the simulator per cell; everything else compiles to a
-  // LoweredPlan (byte-identical to the per-cell evaluate_link_cell
-  // path, ~10-100x faster — see bench_explore_hotpath).
-  if (grid.has_network())
+  // Simulator grids run NetworkSimulator per cell; everything else
+  // compiles to a LoweredPlan (byte-identical to the per-cell
+  // evaluate_link_cell path, ~10-100x faster — see bench_explore_hotpath).
+  if (grid.runs_simulator())
     return run(grid, Evaluator{evaluate_network_cell});
-  if (grid.has_noc_axes()) return run(grid, Evaluator{evaluate_noc_cell});
   return LoweredPlan{grid}.execute(options_.threads);
 }
 

@@ -1,6 +1,6 @@
-// The per-channel discrete-event engine shared by NocSimulator (one
-// reader channel per ONI, homogeneous) and NetworkSimulator (K channels
-// with per-channel managers, menus and thermal timelines).
+// The per-channel discrete-event engine of NetworkSimulator (K channels
+// with per-channel managers, menus and thermal timelines; the paper's
+// one-reader-channel-per-ONI topology is the case K == N).
 //
 // One call simulates one MWSR channel: round-robin arbitration over
 // per-writer virtual-channel queues, laser gating/wake, closed-loop
@@ -25,11 +25,10 @@
 // bit-identical; each channel keeps its own RecalibratingManager with
 // its own hysteresis, counters and recalibration costs.
 //
-// The multi-sink design is what keeps the refactor bit-identical: a
-// network run hands each channel BOTH its per-channel sink and the
+// A network run hands each channel BOTH its per-channel sink and the
 // shared aggregate sink, so the aggregate accumulates message by
-// message in channel order — the exact floating-point addition order of
-// the original single-loop simulator.  Summing per-channel subtotals
+// message in channel order — the floating-point addition order the
+// pinned exports were recorded with.  Summing per-channel subtotals
 // after the fact would regroup the additions ((a+b)+(c+d) instead of
 // ((a+b)+c)+d) and drift in the last ulp.
 #ifndef PHOTECC_NOC_CHANNEL_ENGINE_HPP
@@ -43,7 +42,7 @@
 #include "photecc/env/environment.hpp"
 #include "photecc/math/stats.hpp"
 #include "photecc/noc/message.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/stats.hpp"
 
 namespace photecc::noc {
 
@@ -66,10 +65,9 @@ struct ChannelSink {
 
 /// Static inputs of one channel run.
 struct ChannelParams {
-  /// Writer virtual-channel queues, one per message source index.  The
-  /// single-channel simulator queues per ONI; the network queues per
-  /// tile.  This is an addressing size, independent of the photonic
-  /// oni_count the link budget was solved with.
+  /// Writer virtual-channel queues, one per message source tile.  This
+  /// is an addressing size, independent of the photonic oni_count the
+  /// link budget was solved with.
   std::size_t queue_count = 0;
   std::size_t wavelengths = 0;
   double f_mod_hz = 0.0;

@@ -20,8 +20,8 @@ enum class TrafficClass : std::uint8_t {
 [[nodiscard]] std::string to_string(TrafficClass cls);
 
 /// One end-to-end transfer request.  Sources and destinations are tile
-/// indices; the single-channel simulator identifies tile == ONI, the
-/// tiled network routes to the destination tile's home channel.
+/// indices; the network routes each message to the destination tile's
+/// home channel.
 struct Message {
   std::uint64_t id = 0;
   std::size_t source = 0;       ///< writer tile

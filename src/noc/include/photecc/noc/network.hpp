@@ -1,9 +1,10 @@
 // Event-driven tiled photonic network: N tiles sharing K MWSR
-// broadcast channels.
+// broadcast channels — the project's one NoC simulator.
 //
-// The single-channel NocSimulator models the paper's Fig. 2a topology
-// (one reader channel per ONI, everything homogeneous).  The network
-// generalises it along the axes the single-link paper cannot express:
+// The paper's Fig. 2a topology (one reader channel per ONI, everything
+// homogeneous) is the special case tile_count == channel_count ==
+// oni_count with the interleaved mapping, so tile t reads channel t.
+// The general network adds what the single-link paper cannot express:
 //
 //  * a NetworkTopology maps tiles to shared channels (interleaved or
 //    blocked), so K can be much smaller than N;
@@ -12,14 +13,18 @@
 //    while cool edge channels stay uncoded; channels whose settings
 //    resolve equal share one manager and its solves;
 //  * arbitration is per channel over per-tile virtual-channel queues,
-//    the same round-robin grant the paper's arbiter uses.
+//    the same round-robin grant the paper's arbiter uses (token-style,
+//    with a fixed arbitration overhead per grant).
+//
+// Energy accounting follows the paper's power model: the laser burns
+// Plaser(scheme) per wavelength while transmitting; with laser gating
+// enabled (ref [9]) it is off when the channel idles, otherwise it keeps
+// burning at the idle operating point.
 //
 // Each channel runs through the shared channel engine (see
 // channel_engine.hpp) with two sinks — its own NocStats and the network
 // aggregate — so aggregated statistics accumulate message by message in
-// channel order.  A one-channel-per-tile network with uniform
-// configuration therefore reproduces NocSimulator bit for bit; the
-// tests pin that reduction.
+// channel order.
 #ifndef PHOTECC_NOC_NETWORK_HPP
 #define PHOTECC_NOC_NETWORK_HPP
 
@@ -33,7 +38,8 @@
 #include "photecc/env/environment.hpp"
 #include "photecc/math/rng.hpp"
 #include "photecc/noc/message.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/stats.hpp"
+#include "photecc/noc/traffic.hpp"
 
 namespace photecc::noc {
 
@@ -97,9 +103,9 @@ struct NetworkConfig {
 };
 
 /// Network statistics: the aggregate view plus the per-channel
-/// breakdown.  `aggregate` is finalised exactly like a NocSimulator
-/// run over the same event stream (global latency order, summed
-/// energies), so single-channel reductions compare bit for bit.
+/// breakdown.  `aggregate` is finalised over the whole event stream
+/// (global latency order, energies summed message by message in
+/// channel order).
 struct NetworkStats {
   NocStats aggregate;
   std::vector<NocStats> channels;
@@ -124,7 +130,9 @@ class NetworkSimulator {
   explicit NetworkSimulator(NetworkConfig config);
 
   /// Runs the tile-addressed schedule produced by `traffic` (sources
-  /// and destinations are tile indices) up to `horizon_s`.
+  /// and destinations are tile indices) up to `horizon_s`.  Transfers
+  /// still in flight at the horizon complete (the horizon bounds
+  /// arrivals, not drain).
   [[nodiscard]] NetworkRunResult run(const TrafficGenerator& traffic,
                                      double horizon_s, std::uint64_t seed,
                                      bool keep_log = false) const;
@@ -135,10 +143,9 @@ class NetworkSimulator {
                                      bool keep_log = false) const;
 
   /// Seed for per-channel derived workloads: `base` itself for a
-  /// single-channel network (bit-identical reduction to the
-  /// single-channel simulator), math::derive_seed(base, channel)
-  /// otherwise.  Composite seeding must go through derive_seed — see
-  /// the contract in traffic.hpp.
+  /// single-channel network (it replays the undivided workload),
+  /// math::derive_seed(base, channel) otherwise.  Composite seeding must
+  /// go through derive_seed — see the contract in traffic.hpp.
   [[nodiscard]] static std::uint64_t channel_seed(std::uint64_t base,
                                                   std::size_t channel_count,
                                                   std::size_t channel) {

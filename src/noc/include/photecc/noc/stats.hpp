@@ -1,30 +1,18 @@
-// Discrete-event simulator of an MWSR ONoC with the Optical Link
-// Energy/Performance Manager in the loop.
-//
-// Topology: one MWSR channel per reader ONI (paper Fig. 2a).  A writer
-// with a pending message requests the destination channel; a round-robin
-// arbiter grants it (token-style, with a fixed arbitration overhead per
-// grant).  The manager then selects the coding scheme and laser setting
-// for the transfer according to the message's traffic class.
-//
-// Energy accounting follows the paper's power model: the laser burns
-// Plaser(scheme) per wavelength while transmitting; with laser gating
-// enabled (ref [9]) it is off when the channel idles, otherwise it keeps
-// burning at the idle operating point.
-#ifndef PHOTECC_NOC_SIMULATOR_HPP
-#define PHOTECC_NOC_SIMULATOR_HPP
+// Result types of the NoC simulator (noc::NetworkSimulator): the
+// per-class requirements handed to each channel's manager, the
+// per-message delivery record, and the aggregate / per-phase statistics
+// every channel sink accumulates (see channel_engine.hpp).
+#ifndef PHOTECC_NOC_STATS_HPP
+#define PHOTECC_NOC_STATS_HPP
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "photecc/core/manager.hpp"
-#include "photecc/env/environment.hpp"
 #include "photecc/noc/message.hpp"
-#include "photecc/noc/traffic.hpp"
 
 namespace photecc::noc {
 
@@ -36,34 +24,12 @@ struct ClassRequirements {
   std::optional<double> max_channel_power_w;
 };
 
-/// Simulator configuration.
-struct NocConfig {
-  std::size_t oni_count = 12;
-  link::MwsrParams link_params{};  ///< oni_count is copied in
-  core::SystemConfig system{};
-  /// Scheme menu offered to the manager (paper: the three schemes).
-  std::vector<ecc::BlockCodePtr> scheme_menu;
-  /// Per-class requirements; classes not present use the default.
-  std::map<TrafficClass, ClassRequirements> class_requirements;
-  ClassRequirements default_requirements{};
-  /// Turn lasers off between transfers (ref [9]).
-  bool laser_gating = true;
-  double laser_wake_s = 10e-9;     ///< gating wake-up latency
-  double arbitration_s = 2e-9;     ///< per-grant arbitration overhead
-  double flight_time_s = 0.8e-9;   ///< time of flight over the waveguide
-  /// Closed-loop recalibration knobs, active when link_params declares
-  /// an environment timeline.  Without a timeline the manager solves at
-  /// the static operating point and recalibration costs nothing — the
-  /// pre-environment behaviour, bit for bit.
-  core::RecalibrationConfig recalibration{};
-};
-
 /// Outcome of one delivered message.
 struct DeliveredMessage {
   Message message;
-  /// Index of the channel that delivered it: the destination ONI in the
-  /// single-channel simulator, the shared network channel in a tiled
-  /// network run.
+  /// Index of the channel that delivered it: the destination tile's
+  /// home channel (the destination ONI itself in the paper's
+  /// one-channel-per-ONI topology).
   std::size_t channel = 0;
   double start_time_s = 0.0;       ///< transmission start (after grant)
   double completion_time_s = 0.0;
@@ -139,48 +105,10 @@ struct NocStats {
                         : 0.0;
   }
 
-  /// Exact (bitwise on doubles) equality — the back-compat contract of
-  /// the network refactor is pinned with this.
+  /// Exact (bitwise on doubles) equality.
   [[nodiscard]] bool operator==(const NocStats&) const = default;
-};
-
-/// Result of a run: stats plus (optionally) the per-message log.
-struct NocRunResult {
-  NocStats stats;
-  std::uint64_t total_payload_bits = 0;
-  std::vector<DeliveredMessage> log;  ///< filled when keep_log is set
-};
-
-/// The simulator.
-class NocSimulator {
- public:
-  explicit NocSimulator(NocConfig config);
-
-  /// Runs the schedule produced by `traffic` up to `horizon_s`.
-  /// Transfers still in flight at the horizon complete (the horizon
-  /// bounds arrivals, not drain).
-  [[nodiscard]] NocRunResult run(const TrafficGenerator& traffic,
-                                 double horizon_s, std::uint64_t seed,
-                                 bool keep_log = false) const;
-
-  /// Runs a pre-built message schedule.
-  [[nodiscard]] NocRunResult run(std::vector<Message> schedule,
-                                 double horizon_s,
-                                 bool keep_log = false) const;
-
-  [[nodiscard]] const NocConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const core::LinkManager& manager() const noexcept {
-    return *manager_;
-  }
-
- private:
-  [[nodiscard]] const ClassRequirements& requirements_for(
-      TrafficClass cls) const;
-
-  NocConfig config_;
-  std::shared_ptr<core::LinkManager> manager_;
 };
 
 }  // namespace photecc::noc
 
-#endif  // PHOTECC_NOC_SIMULATOR_HPP
+#endif  // PHOTECC_NOC_STATS_HPP

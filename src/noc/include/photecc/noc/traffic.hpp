@@ -1,12 +1,12 @@
-// Traffic generation for the ONoC simulators: uniform random, hotspot,
+// Traffic generation for the ONoC simulator: uniform random, hotspot,
 // periodic streaming, phase-based application traces and file-driven
 // message timelines — the workloads the paper's introduction motivates
 // (real-time + multimedia mixes on a many-core).
 //
 // Generators address tiles: message sources and destinations are tile
-// indices.  The single-channel NocSimulator identifies tile == ONI (one
-// reader channel per tile); NetworkSimulator routes each message to the
-// destination tile's home channel (see network.hpp).
+// indices.  NetworkSimulator routes each message to the destination
+// tile's home channel (see network.hpp); in the paper's
+// one-channel-per-ONI topology tile == ONI == channel.
 #ifndef PHOTECC_NOC_TRAFFIC_HPP
 #define PHOTECC_NOC_TRAFFIC_HPP
 

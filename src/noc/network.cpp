@@ -148,8 +148,7 @@ NetworkRunResult NetworkSimulator::run(std::vector<Message> schedule,
         }
       };
 
-  // Aggregate accumulators (message order = channel-major, the exact
-  // accumulation order of the single-channel simulator).
+  // Aggregate accumulators (message order = channel-major).
   std::vector<double> agg_latencies;
   std::map<TrafficClass, math::RunningStats> agg_class_latency;
   std::vector<NocPhaseStats> agg_phase_stats;

@@ -79,7 +79,9 @@ class Service {
   bool handle_line(const std::string& line, std::ostream& out);
 
   /// Reads request lines from `in` until shutdown or EOF.  Returns
-  /// true for a clean shutdown, false for EOF.
+  /// true for a clean shutdown, false for EOF.  At most
+  /// max_request_bytes of a line are buffered: a longer line is
+  /// answered with one "limit" error and skipped up to its newline.
   bool run(std::istream& in, std::ostream& out);
 
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }

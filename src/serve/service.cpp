@@ -4,6 +4,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,7 +14,6 @@
 #include "photecc/explore/runner.hpp"
 #include "photecc/math/hash.hpp"
 #include "photecc/spec/error.hpp"
-#include "photecc/spec/registries.hpp"
 #include "photecc/spec/run.hpp"
 
 namespace photecc::serve {
@@ -182,10 +183,32 @@ bool Service::handle_line(const std::string& line, std::ostream& out) {
 }
 
 bool Service::run(std::istream& in, std::ostream& out) {
+  // The size limit is enforced while reading, so a client that never
+  // sends a newline cannot grow the buffer past max_request_bytes: an
+  // over-long line gets one "limit" error as soon as it crosses the
+  // limit, and the rest of it, up to the next newline, is discarded.
+  using traits = std::char_traits<char>;
+  std::streambuf& source = *in.rdbuf();
   std::string line;
-  while (std::getline(in, line))
-    if (!handle_line(line, out)) return true;
-  return false;
+  for (;;) {
+    line.clear();
+    bool over_limit = false;
+    traits::int_type c;
+    while (!traits::eq_int_type(c = source.sbumpc(), traits::eof()) &&
+           c != '\n') {
+      if (line.size() < options_.max_request_bytes) {
+        line.push_back(traits::to_char_type(c));
+      } else if (!over_limit) {
+        over_limit = true;
+        ++stats_.requests;
+        emit_error(out, "", "limit", "",
+                   "request line exceeds max_request_bytes (" +
+                       std::to_string(options_.max_request_bytes) + ")");
+      }
+    }
+    if (!over_limit && !handle_line(line, out)) return true;
+    if (traits::eq_int_type(c, traits::eof())) return false;
+  }
 }
 
 void Service::handle_sweep(const Request& request, std::ostream& out) {
@@ -212,9 +235,9 @@ void Service::handle_sweep(const Request& request, std::ostream& out) {
   };
 
   const explore::ScenarioGrid grid = spec::lower(experiment);
+  const auto evaluator = spec::cell_evaluator(experiment, grid);
   explore::ExperimentResult result;
-  if (!grid.has_noc_axes() &&
-      (experiment.evaluator == "auto" || experiment.evaluator == "link")) {
+  if (!evaluator) {
     // Link hot path: lower once, stream blocks as they complete.  The
     // header can go out before any cell computes because the link
     // evaluator's metric columns are statically known.
@@ -230,16 +253,12 @@ void Service::handle_sweep(const Request& request, std::ostream& out) {
           deliver("cells", cells_body(begin, end, cells));
         });
   } else {
-    // NoC / custom evaluators have no streaming execute (and their
-    // metric columns are only known from the cells), so the sweep runs
-    // to completion first and the records are framed afterwards —
-    // same record shapes, just not incremental.
-    const explore::SweepRunner runner{{exec_threads(experiment)}};
-    if (experiment.evaluator == "auto")
-      result = runner.run(grid);
-    else
-      result = runner.run(grid, spec::evaluator_registry().make(
-                                    experiment.evaluator, "evaluator"));
+    // Per-cell evaluators have no streaming execute (and their metric
+    // columns are only known from the cells), so the sweep runs to
+    // completion first and the records are framed afterwards — same
+    // record shapes, just not incremental.
+    result = explore::SweepRunner{{exec_threads(experiment)}}.run(
+        grid, *evaluator);
     deliver("header",
             header_body(experiment, hash, result.cells.size(),
                         options_.block_size, metric_union(result.cells)));

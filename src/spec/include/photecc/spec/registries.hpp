@@ -95,10 +95,10 @@ using TrafficLowering =
 /// "6 cm", "10 cm", "14 cm".
 [[nodiscard]] Registry<link::MwsrParams>& link_registry();
 
-/// Named cell evaluators.  Built-ins: "link" (analytic), "noc"
-/// (dynamic simulation), "network" (tiled multi-channel simulation).
-/// The spec value "auto" is not an entry — it defers to SweepRunner's
-/// section/axis-based choice.
+/// Named cell evaluators.  Built-ins: "link" (analytic) and the
+/// simulator evaluator explore::evaluate_network_cell under two names,
+/// "noc" and "network".  The spec value "auto" is not an entry — see
+/// cell_evaluator() in run.hpp.
 [[nodiscard]] Registry<explore::SweepRunner::Evaluator>&
 evaluator_registry();
 

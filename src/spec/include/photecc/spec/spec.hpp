@@ -212,6 +212,14 @@ struct ExperimentSpec {
 /// range.  Throws SpecError naming the offending field.
 void validate(const ExperimentSpec& spec);
 
+/// The evaluator name the spec runs with: its own unless "auto", which
+/// resolves to "network" when the spec declares a network section or a
+/// NoC axis (traffic, laser gating, policies) and to "link" otherwise —
+/// the spec-side mirror of explore::ScenarioGrid::runs_simulator on
+/// lower(spec), which a test keeps in agreement.  Objective validation
+/// reads the metric vocabulary from it.
+[[nodiscard]] std::string resolved_evaluator(const ExperimentSpec& spec);
+
 }  // namespace photecc::spec
 
 #endif  // PHOTECC_SPEC_SPEC_HPP

@@ -48,12 +48,12 @@ Registry<explore::SweepRunner::Evaluator>& evaluator_registry() {
     r->add("link", [] {
       return explore::SweepRunner::Evaluator{explore::evaluate_link_cell};
     });
-    r->add("noc", [] {
-      return explore::SweepRunner::Evaluator{explore::evaluate_noc_cell};
-    });
-    r->add("network", [] {
-      return explore::SweepRunner::Evaluator{explore::evaluate_network_cell};
-    });
+    // "noc" and "network" name the one simulator evaluator; both stay
+    // registered so existing documents keep resolving.
+    for (const char* name : {"noc", "network"})
+      r->add(name, [] {
+        return explore::SweepRunner::Evaluator{explore::evaluate_network_cell};
+      });
     return r;
   }();
   return *registry;

@@ -109,19 +109,20 @@ std::vector<explore::Objective> lower_objectives(const ExperimentSpec& spec) {
   return objectives;
 }
 
+std::optional<explore::SweepRunner::Evaluator> cell_evaluator(
+    const ExperimentSpec& spec, const explore::ScenarioGrid& grid) {
+  const bool link = spec.evaluator == "auto" || spec.evaluator == "link";
+  if (link && !grid.runs_simulator()) return std::nullopt;
+  return evaluator_registry().make(
+      spec.evaluator == "auto" ? "network" : spec.evaluator, "evaluator");
+}
+
 explore::ExperimentResult run(const ExperimentSpec& spec) {
   const explore::ScenarioGrid grid = lower(spec);
   const explore::SweepRunner runner{{spec.threads}};
-  // "auto" — and an explicit "link" on a grid the auto route would give
-  // the link evaluator anyway — take the lowered-plan hot path (byte-
-  // identical exports); named evaluators otherwise run the legacy
-  // per-cell path.
-  if (spec.evaluator == "auto" ||
-      (spec.evaluator == "link" && !grid.has_noc_axes() &&
-       !grid.has_network()))
-    return runner.run(grid);
-  return runner.run(grid,
-                    evaluator_registry().make(spec.evaluator, "evaluator"));
+  if (const auto evaluator = cell_evaluator(spec, grid))
+    return runner.run(grid, *evaluator);
+  return runner.run(grid);
 }
 
 }  // namespace photecc::spec

@@ -771,18 +771,6 @@ std::size_t min_oni_count(const ExperimentSpec& spec) {
   return min_oni;
 }
 
-/// The evaluator the spec will actually use: "auto" resolves exactly
-/// like SweepRunner — the network evaluator when a network section is
-/// declared, else the NoC evaluator when any NoC axis is declared.
-std::string resolved_evaluator(const ExperimentSpec& spec) {
-  if (spec.evaluator != "auto") return spec.evaluator;
-  if (spec.network) return "network";
-  const bool has_noc_axes = !spec.traffic.empty() ||
-                            !spec.laser_gating.empty() ||
-                            !spec.policies.empty();
-  return has_noc_axes ? "noc" : "link";
-}
-
 /// Metric names an objective may reference, given the evaluator the
 /// spec will actually use — nullopt for custom registered evaluators
 /// (their metric sets are unknown here).  The simulation evaluators'
@@ -801,7 +789,7 @@ std::optional<std::vector<std::string>> known_objective_metrics(
   if (has_environment)
     for (const std::string& name : explore::noc_env_metric_names())
       metrics.push_back(name);
-  if (evaluator == "network" && spec.network) {
+  if (spec.network) {
     for (std::size_t ch = 0; ch < spec.network->channel_count; ++ch)
       for (const std::string& name : explore::network_channel_metric_names())
         metrics.push_back("ch" + std::to_string(ch) + "_" + name);
@@ -810,6 +798,14 @@ std::optional<std::vector<std::string>> known_objective_metrics(
 }
 
 }  // namespace
+
+std::string resolved_evaluator(const ExperimentSpec& spec) {
+  if (spec.evaluator != "auto") return spec.evaluator;
+  const bool runs_simulator = spec.network || !spec.traffic.empty() ||
+                              !spec.laser_gating.empty() ||
+                              !spec.policies.empty();
+  return runs_simulator ? "network" : "link";
+}
 
 void validate(const ExperimentSpec& spec) {
   // The COOL(...) family resolves through the ecc factory hook; make

@@ -7,45 +7,54 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/explore/evaluators.hpp"
 #include "photecc/explore/runner.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 #include "photecc/noc/traffic.hpp"
 
 namespace photecc::explore {
 namespace {
 
 TEST(NocDeterminism, SameSeedSameStats) {
-  noc::NocConfig config;
+  noc::NetworkConfig config;
+  config.topology.tile_count = 12;
+  config.topology.channel_count = 12;
   config.scheme_menu = ecc::paper_schemes();
-  const noc::NocSimulator simulator{config};
-  const noc::UniformRandomTraffic traffic{config.oni_count, 2e8, 4096};
+  const noc::NetworkSimulator simulator{config};
+  const noc::UniformRandomTraffic traffic{config.topology.tile_count, 2e8,
+                                          4096};
 
   const auto a = simulator.run(traffic, 1e-6, 1234);
   const auto b = simulator.run(traffic, 1e-6, 1234);
-  EXPECT_EQ(a.stats.delivered, b.stats.delivered);
-  EXPECT_EQ(a.stats.dropped, b.stats.dropped);
-  EXPECT_EQ(a.stats.deadline_misses, b.stats.deadline_misses);
-  EXPECT_EQ(a.stats.mean_latency_s, b.stats.mean_latency_s);
-  EXPECT_EQ(a.stats.max_latency_s, b.stats.max_latency_s);
-  EXPECT_EQ(a.stats.p95_latency_s, b.stats.p95_latency_s);
-  EXPECT_EQ(a.stats.total_energy_j, b.stats.total_energy_j);
-  EXPECT_EQ(a.stats.laser_energy_j, b.stats.laser_energy_j);
-  EXPECT_EQ(a.stats.mr_energy_j, b.stats.mr_energy_j);
-  EXPECT_EQ(a.stats.codec_energy_j, b.stats.codec_energy_j);
-  EXPECT_EQ(a.stats.idle_laser_energy_j, b.stats.idle_laser_energy_j);
-  EXPECT_EQ(a.stats.busy_time_s, b.stats.busy_time_s);
-  EXPECT_EQ(a.stats.scheme_usage, b.stats.scheme_usage);
-  EXPECT_EQ(a.stats.class_mean_latency_s, b.stats.class_mean_latency_s);
+  const noc::NocStats& sa = a.stats.aggregate;
+  const noc::NocStats& sb = b.stats.aggregate;
+  EXPECT_EQ(sa.delivered, sb.delivered);
+  EXPECT_EQ(sa.dropped, sb.dropped);
+  EXPECT_EQ(sa.deadline_misses, sb.deadline_misses);
+  EXPECT_EQ(sa.mean_latency_s, sb.mean_latency_s);
+  EXPECT_EQ(sa.max_latency_s, sb.max_latency_s);
+  EXPECT_EQ(sa.p95_latency_s, sb.p95_latency_s);
+  EXPECT_EQ(sa.total_energy_j, sb.total_energy_j);
+  EXPECT_EQ(sa.laser_energy_j, sb.laser_energy_j);
+  EXPECT_EQ(sa.mr_energy_j, sb.mr_energy_j);
+  EXPECT_EQ(sa.codec_energy_j, sb.codec_energy_j);
+  EXPECT_EQ(sa.idle_laser_energy_j, sb.idle_laser_energy_j);
+  EXPECT_EQ(sa.busy_time_s, sb.busy_time_s);
+  EXPECT_EQ(sa.scheme_usage, sb.scheme_usage);
+  EXPECT_EQ(sa.class_mean_latency_s, sb.class_mean_latency_s);
   EXPECT_EQ(a.total_payload_bits, b.total_payload_bits);
 }
 
 TEST(NocDeterminism, DifferentSeedsProduceDifferentSchedules) {
-  noc::NocConfig config;
+  noc::NetworkConfig config;
+  config.topology.tile_count = 12;
+  config.topology.channel_count = 12;
   config.scheme_menu = ecc::paper_schemes();
-  const noc::NocSimulator simulator{config};
-  const noc::UniformRandomTraffic traffic{config.oni_count, 2e8, 4096};
+  const noc::NetworkSimulator simulator{config};
+  const noc::UniformRandomTraffic traffic{config.topology.tile_count, 2e8,
+                                          4096};
   const auto a = simulator.run(traffic, 1e-6, 1);
   const auto b = simulator.run(traffic, 1e-6, 2);
-  EXPECT_NE(a.stats.mean_latency_s, b.stats.mean_latency_s);
+  EXPECT_NE(a.stats.aggregate.mean_latency_s,
+            b.stats.aggregate.mean_latency_s);
 }
 
 TEST(SweepDeterminism, LinkGridExportsAreThreadCountInvariant) {

@@ -84,15 +84,24 @@ TEST(ScenarioGrid, OniAxisAppliesOnTopOfLinkVariants) {
 TEST(ScenarioGrid, NocAxesAreDetected) {
   ScenarioGrid link_only;
   link_only.codes({"H(7,4)"}).ber_targets({1e-9});
-  EXPECT_FALSE(link_only.has_noc_axes());
+  EXPECT_FALSE(link_only.runs_simulator());
 
   ScenarioGrid noc;
   noc.traffic_patterns({uniform_traffic(1e8)});
-  EXPECT_TRUE(noc.has_noc_axes());
+  EXPECT_TRUE(noc.runs_simulator());
 
   ScenarioGrid gating_only;
   gating_only.laser_gating({true, false});
-  EXPECT_TRUE(gating_only.has_noc_axes());
+  EXPECT_TRUE(gating_only.runs_simulator());
+
+  ScenarioGrid policy_only;
+  policy_only.policies({core::Policy::kMinTime});
+  EXPECT_TRUE(policy_only.runs_simulator());
+
+  // A network section alone routes to the simulator too.
+  ScenarioGrid network_only;
+  network_only.codes({"H(7,4)"}).network(NetworkSpec{});
+  EXPECT_TRUE(network_only.runs_simulator());
 }
 
 TEST(ScenarioGrid, PerCellSeedsAreStableAndDistinct) {
@@ -160,7 +169,7 @@ TEST(ScenarioGrid, UndeclaredModulationAxisLeavesOokDefault) {
   // A modulation-only grid still evaluates through the link evaluator.
   ScenarioGrid modulation_only;
   modulation_only.modulations({math::Modulation::kPam4});
-  EXPECT_FALSE(modulation_only.has_noc_axes());
+  EXPECT_FALSE(modulation_only.runs_simulator());
   EXPECT_EQ(modulation_only.at(0).link.modulation,
             math::Modulation::kPam4);
 }
@@ -194,7 +203,7 @@ TEST(ScenarioGrid, EnvironmentAxisIsOutermost) {
   ScenarioGrid env_only;
   env_only.environments(
       {{"ramp", env::EnvironmentTimeline::ramp(0.0, 1e-6, 0.2, 0.8)}});
-  EXPECT_FALSE(env_only.has_noc_axes());
+  EXPECT_FALSE(env_only.runs_simulator());
 }
 
 }  // namespace

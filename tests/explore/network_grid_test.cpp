@@ -2,6 +2,8 @@
 // NetworkSimulator, publish per-channel columns on top of the aggregate
 // set, stay thread-count invariant, and leave non-network grids
 // untouched.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "photecc/env/environment.hpp"
@@ -75,17 +77,28 @@ TEST(NetworkGrid, ExportsAreThreadCountInvariant) {
 }
 
 TEST(NetworkGrid, EvaluatorFallsBackWithoutANetworkSpec) {
-  // Without a NetworkSpec the network evaluator must be
-  // evaluate_noc_cell exactly, cell for cell.
+  // Without a NetworkSpec the evaluator runs the paper's topology: the
+  // network with one interleaved channel per ONI, cell for cell, minus
+  // the per-channel columns.
+  NetworkSpec paper;
+  paper.tile_count = 12;
+  paper.channel_count = 12;
   ScenarioGrid grid;
   grid.traffic_patterns({uniform_traffic(2e8)})
       .laser_gating({true, false})
       .noc_horizon(1e-6);
-  for (const Scenario& scenario : grid) {
-    const CellResult via_network = evaluate_network_cell(scenario);
-    const CellResult via_noc = evaluate_noc_cell(scenario);
-    EXPECT_EQ(via_network.metrics, via_noc.metrics);
-    EXPECT_EQ(via_network.feasible, via_noc.feasible);
+  for (Scenario scenario : grid) {
+    ASSERT_EQ(scenario.link.oni_count, 12u);
+    const CellResult fallback = evaluate_network_cell(scenario);
+    scenario.network = paper;
+    const CellResult explicit_network = evaluate_network_cell(scenario);
+    const auto aggregate_end = std::find_if(
+        explicit_network.metrics.begin(), explicit_network.metrics.end(),
+        [](const auto& metric) { return metric.first.rfind("ch", 0) == 0; });
+    EXPECT_EQ(fallback.metrics,
+              decltype(fallback.metrics)(explicit_network.metrics.begin(),
+                                         aggregate_end));
+    EXPECT_EQ(fallback.feasible, explicit_network.feasible);
   }
 }
 

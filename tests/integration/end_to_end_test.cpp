@@ -8,7 +8,7 @@
 #include "photecc/core/tradeoff.hpp"
 #include "photecc/ecc/registry.hpp"
 #include "photecc/link/snr_solver.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/noc/network.hpp"
 
 namespace photecc {
 namespace {
@@ -67,22 +67,25 @@ TEST(EndToEnd, NocEnergyScalesWithSchemeChoice) {
   const noc::UniformRandomTraffic traffic(12, 2e8, 16384);
   const double horizon = 40e-6;
 
-  noc::NocConfig uncoded_cfg;
+  noc::NetworkConfig uncoded_cfg;
+  uncoded_cfg.topology.tile_count = 12;
+  uncoded_cfg.topology.channel_count = 12;
   uncoded_cfg.scheme_menu = {ecc::make_code("w/o ECC")};
   uncoded_cfg.default_requirements.target_ber = 1e-9;
-  noc::NocConfig coded_cfg = uncoded_cfg;
+  noc::NetworkConfig coded_cfg = uncoded_cfg;
   coded_cfg.scheme_menu = {ecc::make_code("H(7,4)")};
 
   const auto uncoded_run =
-      noc::NocSimulator(uncoded_cfg).run(traffic, horizon, 123);
+      noc::NetworkSimulator(uncoded_cfg).run(traffic, horizon, 123);
   const auto coded_run =
-      noc::NocSimulator(coded_cfg).run(traffic, horizon, 123);
-  ASSERT_EQ(uncoded_run.stats.delivered, coded_run.stats.delivered);
-  EXPECT_LT(coded_run.stats.laser_energy_j,
-            uncoded_run.stats.laser_energy_j);
+      noc::NetworkSimulator(coded_cfg).run(traffic, horizon, 123);
+  ASSERT_EQ(uncoded_run.stats.aggregate.delivered,
+            coded_run.stats.aggregate.delivered);
+  EXPECT_LT(coded_run.stats.aggregate.laser_energy_j,
+            uncoded_run.stats.aggregate.laser_energy_j);
   // But coding costs time: mean latency grows with CT.
-  EXPECT_GT(coded_run.stats.mean_latency_s,
-            uncoded_run.stats.mean_latency_s);
+  EXPECT_GT(coded_run.stats.aggregate.mean_latency_s,
+            uncoded_run.stats.aggregate.mean_latency_s);
 }
 
 TEST(EndToEnd, DeadlineAwareClassesMeetDeadlinesAdaptiveStillSaves) {
@@ -107,22 +110,27 @@ TEST(EndToEnd, DeadlineAwareClassesMeetDeadlinesAdaptiveStillSaves) {
   const noc::MixedTraffic traffic({rt, mm});
   const double horizon = 60e-6;
 
-  noc::NocConfig adaptive;
+  noc::NetworkConfig adaptive;
+  adaptive.topology.tile_count = 12;
+  adaptive.topology.channel_count = 12;
   adaptive.class_requirements[noc::TrafficClass::kRealTime] =
       noc::ClassRequirements{1e-9, core::Policy::kMinTime, 1.0,
                              std::nullopt};
   adaptive.class_requirements[noc::TrafficClass::kMultimedia] =
       noc::ClassRequirements{1e-9, core::Policy::kMinPower, std::nullopt,
                              std::nullopt};
-  noc::NocConfig static_uncoded;
+  noc::NetworkConfig static_uncoded;
+  static_uncoded.topology = adaptive.topology;
   static_uncoded.scheme_menu = {ecc::make_code("w/o ECC")};
   static_uncoded.default_requirements.target_ber = 1e-9;
 
-  const auto a = noc::NocSimulator(adaptive).run(traffic, horizon, 321);
+  const auto a = noc::NetworkSimulator(adaptive).run(traffic, horizon, 321);
   const auto s =
-      noc::NocSimulator(static_uncoded).run(traffic, horizon, 321);
-  EXPECT_LE(a.stats.deadline_misses, s.stats.deadline_misses);
-  EXPECT_LT(a.stats.laser_energy_j, s.stats.laser_energy_j);
+      noc::NetworkSimulator(static_uncoded).run(traffic, horizon, 321);
+  EXPECT_LE(a.stats.aggregate.deadline_misses,
+            s.stats.aggregate.deadline_misses);
+  EXPECT_LT(a.stats.aggregate.laser_energy_j,
+            s.stats.aggregate.laser_energy_j);
 }
 
 TEST(EndToEnd, SweepAndManagerAgreeOnTheBestScheme) {

@@ -1,16 +1,20 @@
-// The tiled photonic network: topology mapping, bit-identical
-// reduction to the single-channel simulator, per-channel statistics,
-// and heterogeneous per-channel coding/environment behaviour.
+// The tiled photonic network: topology mapping, the pinned
+// one-channel-per-tile reduction (the paper's topology), per-channel
+// statistics, and heterogeneous per-channel coding/environment
+// behaviour.
 #include "photecc/noc/network.hpp"
 
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "photecc/ecc/registry.hpp"
-#include "photecc/noc/simulator.hpp"
+#include "photecc/math/hash.hpp"
 #include "photecc/noc/traffic.hpp"
 
 namespace photecc::noc {
@@ -83,16 +87,28 @@ TEST(NetworkTopology, RejectsUnusableGeometries) {
   EXPECT_THROW(topo.validate(), std::invalid_argument);
 }
 
-// The headline back-compat contract: a network with one channel per
-// tile and a uniform configuration IS the single-channel simulator —
-// same managers, same arbitration domains, same accumulation order —
-// so every statistic matches bit for bit, not approximately.
+// The paper's Fig. 2a topology is the network with one channel per
+// tile.  The values below are what the single-channel simulator this
+// network replaced returned on the same schedules (recorded before it
+// was removed), every double exact as a hex float; the delivery log is
+// pinned by an fnv1a64 over each delivery's (id, channel, completion,
+// energy).  Any drift is a bug, not a reason to re-pin.
+
+std::uint64_t log_fingerprint(const std::vector<DeliveredMessage>& log) {
+  std::string out;
+  char buf[64];
+  for (const DeliveredMessage& d : log) {
+    std::snprintf(buf, sizeof buf, "%llu;%llu;%a;%a;",
+                  static_cast<unsigned long long>(d.message.id),
+                  static_cast<unsigned long long>(d.channel),
+                  d.completion_time_s, d.energy_j);
+    out += buf;
+  }
+  return math::fnv1a64(out);
+}
+
 TEST(NetworkSimulator, OneChannelPerTileReproducesNocSimulatorBitForBit) {
   constexpr std::size_t kOnis = 8;
-  NocConfig noc_config;
-  noc_config.oni_count = kOnis;
-  const NocSimulator reference(noc_config);
-
   NetworkConfig net_config;
   net_config.topology.tile_count = kOnis;
   net_config.topology.channel_count = kOnis;
@@ -101,21 +117,40 @@ TEST(NetworkSimulator, OneChannelPerTileReproducesNocSimulatorBitForBit) {
   const UniformRandomTraffic traffic(kOnis, 4e8, 4096);
   const double horizon = 10e-6;
   const auto schedule = traffic.generate(horizon, 42);
-
-  const NocRunResult expected = reference.run(schedule, horizon, true);
   const NetworkRunResult actual = network.run(schedule, horizon, true);
 
-  EXPECT_TRUE(actual.stats.aggregate == expected.stats);
-  EXPECT_EQ(actual.total_payload_bits, expected.total_payload_bits);
-  ASSERT_EQ(actual.log.size(), expected.log.size());
-  for (std::size_t i = 0; i < actual.log.size(); ++i) {
-    EXPECT_EQ(actual.log[i].message.id, expected.log[i].message.id);
-    EXPECT_EQ(actual.log[i].completion_time_s,
-              expected.log[i].completion_time_s);
-    EXPECT_EQ(actual.log[i].energy_j, expected.log[i].energy_j);
-    // In the reduction a message's channel is its destination ONI.
-    EXPECT_EQ(actual.log[i].channel, actual.log[i].message.destination);
-  }
+  const NocStats& s = actual.stats.aggregate;
+  EXPECT_EQ(s.delivered, 4026u);
+  EXPECT_EQ(s.dropped, 0u);
+  EXPECT_EQ(s.dropped_thermal, 0u);
+  EXPECT_EQ(s.deadline_misses, 0u);
+  EXPECT_EQ(s.recalibrations, 0u);
+  EXPECT_EQ(s.mean_latency_s, 0x1.92be797bbc101p-19);
+  EXPECT_EQ(s.max_latency_s, 0x1.0289df16269dp-17);
+  EXPECT_EQ(s.p95_latency_s, 0x1.9ccdf6af6e8ccp-18);
+  EXPECT_EQ(s.total_energy_j, 0x1.6268a8c459763p-17);
+  EXPECT_EQ(s.laser_energy_j, 0x1.0edfe81ce79dp-17);
+  EXPECT_EQ(s.mr_energy_j, 0x1.4def26f6e6528p-19);
+  EXPECT_EQ(s.codec_energy_j, 0x1.9edd37089278dp-30);
+  EXPECT_EQ(s.idle_laser_energy_j, 0.0);
+  EXPECT_EQ(s.busy_time_s, 0x1.07a80e2841259p-13);
+  EXPECT_EQ(s.horizon_s, 0x1.4f8b588e368f1p-17);
+  EXPECT_EQ(s.recalibration_energy_j, 0.0);
+  EXPECT_EQ(s.recalibration_latency_s, 0.0);
+  EXPECT_EQ(s.peak_activity, 0.0);
+  EXPECT_EQ(s.final_activity, 0.0);
+  EXPECT_TRUE(s.phases.empty());
+  EXPECT_EQ(s.scheme_usage,
+            (std::map<std::string, std::uint64_t>{{"H(71,64)", 4026}}));
+  EXPECT_EQ(s.class_mean_latency_s,
+            (std::map<TrafficClass, double>{
+                {TrafficClass::kBestEffort, 0x1.92be797bbc115p-19}}));
+  EXPECT_EQ(actual.total_payload_bits, 16490496u);
+  ASSERT_EQ(actual.log.size(), 4026u);
+  EXPECT_EQ(log_fingerprint(actual.log), 0x302c3bf05a418a26ULL);
+  // In the reduction a message's channel is its destination ONI.
+  for (const DeliveredMessage& d : actual.log)
+    EXPECT_EQ(d.channel, d.message.destination);
 }
 
 // Same reduction under a time-varying environment: recalibration,
@@ -127,13 +162,6 @@ TEST(NetworkSimulator, EnvironmentReductionIsBitForBitToo) {
   // Uncoded-only at BER 1e-11: the ramp opens a thermal window, so the
   // reduction also covers drops, thermal classification and
   // recalibration accounting.
-  NocConfig noc_config;
-  noc_config.oni_count = kOnis;
-  noc_config.link_params.environment = ramp;
-  noc_config.scheme_menu = {ecc::make_code("w/o ECC")};
-  noc_config.default_requirements.target_ber = 1e-11;
-  const NocSimulator reference(noc_config);
-
   NetworkConfig net_config;
   net_config.topology.tile_count = kOnis;
   net_config.topology.channel_count = kOnis;
@@ -145,12 +173,43 @@ TEST(NetworkSimulator, EnvironmentReductionIsBitForBitToo) {
   const UniformRandomTraffic traffic(kOnis, 4e8, 4096);
   const double horizon = 6e-6;
   const auto schedule = traffic.generate(horizon, 7);
+  const NetworkRunResult actual = network.run(schedule, horizon, true);
 
-  const NocRunResult expected = reference.run(schedule, horizon);
-  const NetworkRunResult actual = network.run(schedule, horizon);
-  EXPECT_TRUE(actual.stats.aggregate == expected.stats);
-  EXPECT_GT(actual.stats.aggregate.dropped, 0u);  // the ramp bites
-  EXPECT_FALSE(actual.stats.aggregate.phases.empty());
+  const NocStats& s = actual.stats.aggregate;
+  EXPECT_EQ(s.delivered, 668u);
+  EXPECT_EQ(s.dropped, 1687u);  // the ramp bites
+  EXPECT_EQ(s.dropped_thermal, 1687u);
+  EXPECT_EQ(s.deadline_misses, 0u);
+  EXPECT_EQ(s.recalibrations, 161u);
+  EXPECT_EQ(s.mean_latency_s, 0x1.ca5a73299c461p-21);
+  EXPECT_EQ(s.max_latency_s, 0x1.4a8508faad27ap-19);
+  EXPECT_EQ(s.p95_latency_s, 0x1.f302ca833f737p-20);
+  EXPECT_EQ(s.total_energy_j, 0x1.907ff76f14395p-19);
+  EXPECT_EQ(s.laser_energy_j, 0x1.5e7ece4f46dd7p-19);
+  EXPECT_EQ(s.mr_energy_j, 0x1.8f8dc1366ef87p-22);
+  EXPECT_EQ(s.codec_energy_j, 0x1.18285d4fbad72p-33);
+  EXPECT_EQ(s.idle_laser_energy_j, 0.0);
+  EXPECT_EQ(s.busy_time_s, 0x1.67b940b6a606bp-16);
+  EXPECT_EQ(s.horizon_s, 0x1.92a737110e454p-18);
+  EXPECT_EQ(s.recalibration_energy_j, 0x1.620af147bc068p-32);
+  EXPECT_EQ(s.recalibration_latency_s, 0x1.b02e5b8811064p-19);
+  EXPECT_EQ(s.peak_activity, 1.0);
+  EXPECT_EQ(s.final_activity, 1.0);
+  const std::vector<NocPhaseStats> phases{
+      {"pre", 0.0, 0x1.0c6f7a0b5ed8dp-19, 416, 0, 0, 0x1.14996557519f4p-21},
+      {"ramp", 0x1.0c6f7a0b5ed8dp-19, 0x1.0c6f7a0b5ed8dp-18, 252, 903, 0,
+       0x1.7b32288b85a8ap-20},
+      {"post", 0x1.0c6f7a0b5ed8dp-18, 0x1.92a737110e454p-18, 0, 784, 0,
+       0.0}};
+  EXPECT_EQ(s.phases, phases);
+  EXPECT_EQ(s.scheme_usage,
+            (std::map<std::string, std::uint64_t>{{"w/o ECC", 668}}));
+  EXPECT_EQ(s.class_mean_latency_s,
+            (std::map<TrafficClass, double>{
+                {TrafficClass::kBestEffort, 0x1.ca5a73299c467p-21}}));
+  EXPECT_EQ(actual.total_payload_bits, 2736128u);
+  ASSERT_EQ(actual.log.size(), 668u);
+  EXPECT_EQ(log_fingerprint(actual.log), 0xf8427129cee858c3ULL);
 }
 
 TEST(NetworkSimulator, PerChannelStatsSumToTheAggregate) {

@@ -1,4 +1,8 @@
-#include "photecc/noc/simulator.hpp"
+// The paper's Fig. 2a NoC — one MWSR reader channel per ONI — run on
+// NetworkSimulator as the network with tile_count == channel_count ==
+// oni_count: arbitration, gating, energy accounting, per-class
+// requirements and the statistics definitions.
+#include "photecc/noc/network.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -10,9 +14,10 @@
 namespace photecc::noc {
 namespace {
 
-NocConfig base_config() {
-  NocConfig config;
-  config.oni_count = 12;
+NetworkConfig base_config() {
+  NetworkConfig config;
+  config.topology.tile_count = 12;
+  config.topology.channel_count = 12;
   config.scheme_menu = ecc::paper_schemes();
   config.default_requirements.target_ber = 1e-9;
   config.default_requirements.policy = core::Policy::kMinEnergy;
@@ -33,15 +38,15 @@ Message make_message(std::uint64_t id, std::size_t src, std::size_t dst,
 }
 
 TEST(NocSimulator, DeliversEveryMessageExactlyOnce) {
-  const NocSimulator sim(base_config());
+  const NetworkSimulator sim(base_config());
   const UniformRandomTraffic traffic(12, 2e8, 4096);
   const double horizon = 20e-6;
   const auto schedule = traffic.generate(horizon, 5);
-  const NocRunResult result = sim.run(schedule, horizon, true);
-  EXPECT_EQ(result.stats.delivered + result.stats.dropped,
+  const NetworkRunResult result = sim.run(schedule, horizon, true);
+  EXPECT_EQ(result.stats.aggregate.delivered + result.stats.aggregate.dropped,
             schedule.size());
-  EXPECT_EQ(result.stats.dropped, 0u);
-  EXPECT_EQ(result.log.size(), result.stats.delivered);
+  EXPECT_EQ(result.stats.aggregate.dropped, 0u);
+  EXPECT_EQ(result.log.size(), result.stats.aggregate.delivered);
   // Conservation of payload.
   std::uint64_t expected_bits = 0;
   for (const auto& m : schedule) expected_bits += m.payload_bits;
@@ -49,14 +54,14 @@ TEST(NocSimulator, DeliversEveryMessageExactlyOnce) {
 }
 
 TEST(NocSimulator, LatencyIncludesSerializationFloor) {
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = false;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   // One lonely message: latency = arbitration + serialization + flight.
   const std::uint64_t bits = 16384;
   const auto result =
       sim.run({make_message(0, 1, 0, bits, 1e-6)}, 10e-6, true);
-  ASSERT_EQ(result.stats.delivered, 1u);
+  ASSERT_EQ(result.stats.aggregate.delivered, 1u);
   const double bits_per_lambda = std::ceil(bits / 16.0);
   const double ct = result.log[0].scheme == "w/o ECC" ? 1.0
                     : result.log[0].scheme == "H(71,64)"
@@ -65,43 +70,45 @@ TEST(NocSimulator, LatencyIncludesSerializationFloor) {
   const double expected = config.arbitration_s +
                           bits_per_lambda * ct / 10e9 +
                           config.flight_time_s;
-  EXPECT_NEAR(result.stats.mean_latency_s, expected, 1e-12);
+  EXPECT_NEAR(result.stats.aggregate.mean_latency_s, expected, 1e-12);
 }
 
 TEST(NocSimulator, GatingAddsWakeLatencyForColdStart) {
-  NocConfig gated = base_config();
+  NetworkConfig gated = base_config();
   gated.laser_gating = true;
-  NocConfig ungated = base_config();
+  NetworkConfig ungated = base_config();
   ungated.laser_gating = false;
   const auto schedule = {make_message(0, 1, 0, 4096, 1e-6)};
-  const auto with = NocSimulator(gated).run(schedule, 10e-6);
-  const auto without = NocSimulator(ungated).run(schedule, 10e-6);
-  EXPECT_NEAR(with.stats.mean_latency_s - without.stats.mean_latency_s,
+  const auto with = NetworkSimulator(gated).run(schedule, 10e-6);
+  const auto without = NetworkSimulator(ungated).run(schedule, 10e-6);
+  EXPECT_NEAR(with.stats.aggregate.mean_latency_s -
+                  without.stats.aggregate.mean_latency_s,
               gated.laser_wake_s, 1e-12);
 }
 
 TEST(NocSimulator, GatingSavesIdleEnergyOnSparseTraffic) {
-  NocConfig gated = base_config();
+  NetworkConfig gated = base_config();
   gated.laser_gating = true;
-  NocConfig ungated = base_config();
+  NetworkConfig ungated = base_config();
   ungated.laser_gating = false;
   // Two distant messages leave a long idle window.
   const std::vector<Message> schedule{
       make_message(0, 1, 0, 4096, 1e-6),
       make_message(1, 2, 0, 4096, 80e-6)};
   const double horizon = 100e-6;
-  const auto with = NocSimulator(gated).run(schedule, horizon);
-  const auto without = NocSimulator(ungated).run(schedule, horizon);
-  EXPECT_DOUBLE_EQ(with.stats.idle_laser_energy_j, 0.0);
-  EXPECT_GT(without.stats.idle_laser_energy_j, 0.0);
-  EXPECT_LT(with.stats.total_energy_j, without.stats.total_energy_j);
+  const auto with = NetworkSimulator(gated).run(schedule, horizon);
+  const auto without = NetworkSimulator(ungated).run(schedule, horizon);
+  EXPECT_DOUBLE_EQ(with.stats.aggregate.idle_laser_energy_j, 0.0);
+  EXPECT_GT(without.stats.aggregate.idle_laser_energy_j, 0.0);
+  EXPECT_LT(with.stats.aggregate.total_energy_j,
+            without.stats.aggregate.total_energy_j);
 }
 
 TEST(NocSimulator, EnergyMatchesAnalyticModelForOneTransfer) {
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = true;
   config.laser_wake_s = 0.0;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   const std::uint64_t bits = 65536;
   const auto result =
       sim.run({make_message(0, 3, 7, bits, 0.5e-6)}, 10e-6, true);
@@ -110,7 +117,7 @@ TEST(NocSimulator, EnergyMatchesAnalyticModelForOneTransfer) {
   core::CommunicationRequest request;
   request.target_ber = config.default_requirements.target_ber;
   request.policy = config.default_requirements.policy;
-  const auto cfg = sim.manager().configure(request);
+  const auto cfg = sim.manager(0).configure(request);
   ASSERT_TRUE(cfg.has_value());
   const double serialize_s =
       std::ceil(bits / 16.0) * cfg->metrics.ct / 10e9;
@@ -122,14 +129,14 @@ TEST(NocSimulator, EnergyMatchesAnalyticModelForOneTransfer) {
 }
 
 TEST(NocSimulator, RealTimeClassGetsFastScheme) {
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.class_requirements[TrafficClass::kRealTime] =
       ClassRequirements{1e-9, core::Policy::kMinTime, std::nullopt,
                         std::nullopt};
   config.class_requirements[TrafficClass::kMultimedia] =
       ClassRequirements{1e-9, core::Policy::kMinPower, std::nullopt,
                         std::nullopt};
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   const std::vector<Message> schedule{
       make_message(0, 1, 0, 4096, 1e-6, TrafficClass::kRealTime),
       make_message(1, 2, 3, 4096, 1e-6, TrafficClass::kMultimedia)};
@@ -141,14 +148,14 @@ TEST(NocSimulator, RealTimeClassGetsFastScheme) {
     else
       EXPECT_EQ(d.scheme, "H(7,4)");
   }
-  EXPECT_EQ(result.stats.scheme_usage.at("w/o ECC"), 1u);
-  EXPECT_EQ(result.stats.scheme_usage.at("H(7,4)"), 1u);
+  EXPECT_EQ(result.stats.aggregate.scheme_usage.at("w/o ECC"), 1u);
+  EXPECT_EQ(result.stats.aggregate.scheme_usage.at("H(7,4)"), 1u);
 }
 
 TEST(NocSimulator, ContentionQueuesOnTheSameChannel) {
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = false;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   // Three writers hit reader 0 simultaneously: completions serialise.
   std::vector<Message> schedule;
   for (std::uint64_t i = 0; i < 3; ++i)
@@ -161,13 +168,13 @@ TEST(NocSimulator, ContentionQueuesOnTheSameChannel) {
   const double tx = ends[0] - 1e-6;  // first transfer duration
   EXPECT_NEAR(ends[1] - ends[0], tx, tx * 0.2);
   EXPECT_NEAR(ends[2] - ends[1], tx, tx * 0.2);
-  EXPECT_GT(result.stats.max_latency_s,
-            2.5 * result.stats.mean_latency_s / 2.0);
+  EXPECT_GT(result.stats.aggregate.max_latency_s,
+            2.5 * result.stats.aggregate.mean_latency_s / 2.0);
 }
 
 TEST(NocSimulator, IndependentChannelsDoNotInterfere) {
-  NocConfig config = base_config();
-  const NocSimulator sim(config);
+  NetworkConfig config = base_config();
+  const NetworkSimulator sim(config);
   // Same instant, different readers: identical latencies.
   const std::vector<Message> schedule{
       make_message(0, 1, 0, 8192, 1e-6),
@@ -178,61 +185,63 @@ TEST(NocSimulator, IndependentChannelsDoNotInterfere) {
 }
 
 TEST(NocSimulator, DeadlineMissesAreCounted) {
-  NocConfig config = base_config();
-  const NocSimulator sim(config);
+  NetworkConfig config = base_config();
+  const NetworkSimulator sim(config);
   Message tight = make_message(0, 1, 0, 1 << 20, 1e-6);
   tight.deadline_s = 1.1e-6;  // a megabit cannot fit in 100 ns
   Message loose = make_message(1, 2, 3, 4096, 1e-6);
   loose.deadline_s = 5e-6;
   const auto result = sim.run({tight, loose}, 1e-3, true);
-  EXPECT_EQ(result.stats.deadline_misses, 1u);
+  EXPECT_EQ(result.stats.aggregate.deadline_misses, 1u);
 }
 
 TEST(NocSimulator, ImpossibleBerDropsMessages) {
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.scheme_menu = {ecc::make_code("w/o ECC")};
   config.default_requirements.target_ber = 1e-12;  // uncoded can't
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   const auto result =
       sim.run({make_message(0, 1, 0, 4096, 1e-6)}, 10e-6);
-  EXPECT_EQ(result.stats.delivered, 0u);
-  EXPECT_EQ(result.stats.dropped, 1u);
+  EXPECT_EQ(result.stats.aggregate.delivered, 0u);
+  EXPECT_EQ(result.stats.aggregate.dropped, 1u);
 }
 
 TEST(NocSimulator, AdaptiveMenuBeatsUncodedOnlyOnEnergy) {
   // The paper's promise: scheme selection cuts energy without hurting
   // the BER guarantee.
-  NocConfig adaptive = base_config();
-  NocConfig uncoded_only = base_config();
+  NetworkConfig adaptive = base_config();
+  NetworkConfig uncoded_only = base_config();
   uncoded_only.scheme_menu = {ecc::make_code("w/o ECC")};
   const UniformRandomTraffic traffic(12, 2e8, 16384);
   const double horizon = 50e-6;
   const auto a =
-      NocSimulator(adaptive).run(traffic, horizon, 77);
+      NetworkSimulator(adaptive).run(traffic, horizon, 77);
   const auto u =
-      NocSimulator(uncoded_only).run(traffic, horizon, 77);
-  EXPECT_EQ(a.stats.delivered, u.stats.delivered);
-  EXPECT_LT(a.stats.total_energy_j, u.stats.total_energy_j);
+      NetworkSimulator(uncoded_only).run(traffic, horizon, 77);
+  EXPECT_EQ(a.stats.aggregate.delivered, u.stats.aggregate.delivered);
+  EXPECT_LT(a.stats.aggregate.total_energy_j, u.stats.aggregate.total_energy_j);
 }
 
 TEST(NocSimulator, StatsPercentilesOrdered) {
-  const NocSimulator sim(base_config());
+  const NetworkSimulator sim(base_config());
   const UniformRandomTraffic traffic(12, 3e8, 8192);
   const auto result = sim.run(traffic, 30e-6, 13);
-  ASSERT_GT(result.stats.delivered, 50u);
-  EXPECT_LE(result.stats.mean_latency_s, result.stats.max_latency_s);
-  EXPECT_LE(result.stats.p95_latency_s, result.stats.max_latency_s);
-  EXPECT_GT(result.stats.p95_latency_s, 0.0);
-  EXPECT_GT(result.stats.busy_time_s, 0.0);
-  EXPECT_GT(result.stats.energy_per_bit_j(result.total_payload_bits),
+  ASSERT_GT(result.stats.aggregate.delivered, 50u);
+  EXPECT_LE(result.stats.aggregate.mean_latency_s,
+            result.stats.aggregate.max_latency_s);
+  EXPECT_LE(result.stats.aggregate.p95_latency_s,
+            result.stats.aggregate.max_latency_s);
+  EXPECT_GT(result.stats.aggregate.p95_latency_s, 0.0);
+  EXPECT_GT(result.stats.aggregate.busy_time_s, 0.0);
+  EXPECT_GT(result.stats.aggregate.energy_per_bit_j(result.total_payload_bits),
             0.0);
 }
 
 TEST(NocSimulator, RoundRobinArbitrationIsFair) {
   // Three writers saturate one reader with equal demand; round-robin
   // must deliver equal counts (within one grant) from each source.
-  NocConfig config = base_config();
-  const NocSimulator sim(config);
+  NetworkConfig config = base_config();
+  const NetworkSimulator sim(config);
   std::vector<Message> schedule;
   std::uint64_t id = 0;
   for (int round = 0; round < 30; ++round) {
@@ -242,7 +251,7 @@ TEST(NocSimulator, RoundRobinArbitrationIsFair) {
     }
   }
   const auto result = sim.run(schedule, 1e-3, true);
-  ASSERT_EQ(result.stats.delivered, 90u);
+  ASSERT_EQ(result.stats.aggregate.delivered, 90u);
   // Check interleaving: among the first 9 completions, each source
   // appears exactly 3 times.
   std::vector<const DeliveredMessage*> log;
@@ -262,9 +271,9 @@ TEST(NocSimulator, NoSecondWakeWhenArrivalCoincidesWithCompletion) {
   // Gating edge: a message arriving *exactly* when the previous
   // transfer completes finds the laser still on — it must not be
   // charged a second wake-up.
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = true;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   const auto first =
       sim.run({make_message(0, 1, 0, 4096, 1e-6)}, 1e-3, true);
   ASSERT_EQ(first.log.size(), 1u);
@@ -291,49 +300,52 @@ TEST(NocSimulator, NoIdleBurnOverAnEmptyHorizonWithoutGating) {
   // Gating edge: with gating off but zero messages the simulator has
   // never configured a laser power, so there is nothing to burn — the
   // idle-laser energy over the whole horizon is exactly zero.
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = false;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   const auto result = sim.run(std::vector<Message>{}, 1e-3);
-  EXPECT_EQ(result.stats.delivered, 0u);
-  EXPECT_DOUBLE_EQ(result.stats.idle_laser_energy_j, 0.0);
-  EXPECT_DOUBLE_EQ(result.stats.total_energy_j, 0.0);
-  EXPECT_DOUBLE_EQ(result.stats.horizon_s, 1e-3);
+  EXPECT_EQ(result.stats.aggregate.delivered, 0u);
+  EXPECT_DOUBLE_EQ(result.stats.aggregate.idle_laser_energy_j, 0.0);
+  EXPECT_DOUBLE_EQ(result.stats.aggregate.total_energy_j, 0.0);
+  EXPECT_DOUBLE_EQ(result.stats.aggregate.horizon_s, 1e-3);
 }
 
 TEST(NocSimulator, P95IsNearestRankOnAKnownTwentyMessageTrace) {
   // 20 lonely messages with strictly increasing payloads => 20 distinct
   // latencies with no queueing.  Nearest rank: ceil(0.95 * 20) = rank
   // 19, the 19th smallest (second largest) latency.
-  NocConfig config = base_config();
+  NetworkConfig config = base_config();
   config.laser_gating = false;
-  const NocSimulator sim(config);
+  const NetworkSimulator sim(config);
   std::vector<Message> schedule;
   for (std::uint64_t i = 0; i < 20; ++i)
     schedule.push_back(make_message(i, 1, 0, 1024 * (i + 1),
                                     static_cast<double>(i + 1) * 50e-6));
   const auto result = sim.run(schedule, 2e-3, true);
-  ASSERT_EQ(result.stats.delivered, 20u);
+  ASSERT_EQ(result.stats.aggregate.delivered, 20u);
   std::vector<double> latencies;
   for (const auto& d : result.log) latencies.push_back(d.latency_s);
   std::sort(latencies.begin(), latencies.end());
-  EXPECT_DOUBLE_EQ(result.stats.p95_latency_s, latencies[18]);
-  EXPECT_LT(result.stats.p95_latency_s, result.stats.max_latency_s);
+  EXPECT_DOUBLE_EQ(result.stats.aggregate.p95_latency_s, latencies[18]);
+  EXPECT_LT(result.stats.aggregate.p95_latency_s,
+            result.stats.aggregate.max_latency_s);
 
   // For 10 messages, rank ceil(9.5) = 10: nearest-rank p95 IS the
   // maximum (the old floor(0.95 * (N - 1)) definition picked index 8 —
   // this pins the documented definition).
   const auto ten = sim.run(
       std::vector<Message>(schedule.begin(), schedule.begin() + 10), 2e-3);
-  ASSERT_EQ(ten.stats.delivered, 10u);
-  EXPECT_DOUBLE_EQ(ten.stats.p95_latency_s, ten.stats.max_latency_s);
+  ASSERT_EQ(ten.stats.aggregate.delivered, 10u);
+  EXPECT_DOUBLE_EQ(ten.stats.aggregate.p95_latency_s,
+                   ten.stats.aggregate.max_latency_s);
 }
 
 TEST(NocSimulator, InputValidation) {
-  NocConfig too_small;
-  too_small.oni_count = 1;
-  EXPECT_THROW(NocSimulator{too_small}, std::invalid_argument);
-  const NocSimulator sim(base_config());
+  NetworkConfig too_small;
+  too_small.topology.tile_count = 1;
+  too_small.topology.channel_count = 1;
+  EXPECT_THROW(NetworkSimulator{too_small}, std::invalid_argument);
+  const NetworkSimulator sim(base_config());
   EXPECT_THROW((void)sim.run({make_message(0, 1, 1, 64, 0.0)}, 1e-6),
                std::invalid_argument);
   EXPECT_THROW((void)sim.run({make_message(0, 1, 99, 64, 0.0)}, 1e-6),

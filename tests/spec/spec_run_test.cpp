@@ -195,9 +195,10 @@ TEST(SpecRun, UnknownObjectiveMetricIsRejectedAtValidation) {
 }
 
 TEST(SpecRun, DeclaredMetricNamesMatchTheEvaluatorsExactly) {
-  // Locks link_cell_metric_names()/noc_cell_metric_names() to what the
-  // evaluators actually publish, so a metric rename cannot silently
-  // drift apart from the spec-layer objective validation.
+  // Locks link_cell_metric_names()/noc_cell_metric_names() to what
+  // evaluate_link_cell / evaluate_network_cell actually publish, so a
+  // metric rename cannot silently drift apart from the spec-layer
+  // objective validation.
   explore::ScenarioGrid link_grid;
   link_grid.codes({"w/o ECC"}).ber_targets({1e-8});
   const auto link_cell = explore::evaluate_link_cell(link_grid.at(0));
@@ -211,7 +212,7 @@ TEST(SpecRun, DeclaredMetricNamesMatchTheEvaluatorsExactly) {
   explore::ScenarioGrid noc_grid;
   noc_grid.traffic_patterns({explore::uniform_traffic(2e8)})
       .noc_horizon(2e-7);
-  const auto noc_cell = explore::evaluate_noc_cell(noc_grid.at(0));
+  const auto noc_cell = explore::evaluate_network_cell(noc_grid.at(0));
   std::vector<std::string> noc_names;
   for (const auto& [name, value] : noc_cell.metrics) {
     (void)value;
@@ -219,14 +220,14 @@ TEST(SpecRun, DeclaredMetricNamesMatchTheEvaluatorsExactly) {
   }
   EXPECT_EQ(noc_names, explore::noc_cell_metric_names());
 
-  // With an environment axis the NoC evaluator appends exactly the
+  // With an environment axis the simulator evaluator appends exactly the
   // declared env metric names, in order.
   explore::ScenarioGrid env_grid;
   env_grid.traffic_patterns({explore::uniform_traffic(2e8)})
       .environments({{"static",
                       photecc::env::EnvironmentTimeline::constant(0.25)}})
       .noc_horizon(2e-7);
-  const auto env_cell = explore::evaluate_noc_cell(env_grid.at(0));
+  const auto env_cell = explore::evaluate_network_cell(env_grid.at(0));
   std::vector<std::string> env_names;
   for (const auto& [name, value] : env_cell.metrics) {
     (void)value;
