@@ -28,7 +28,7 @@ int main() {
     explore::ScenarioGrid grid;
     grid.codes(code_names).ber_targets({ber});
     const auto result = runner.run(grid);
-    const auto sweep = result.to_tradeoff_sweep();
+    const auto sweep = result.cells.to_tradeoff_sweep();
     core::print_table(std::cout, "All codes ('*' = Pareto-optimal):",
                       core::pareto_table(sweep));
 
@@ -37,12 +37,12 @@ int main() {
     std::cout << "Pareto front (by CT): ";
     for (std::size_t i = 0; i < front.size(); ++i) {
       if (i) std::cout << " -> ";
-      std::cout << result.cells[front[i]].scheme->scheme;
+      std::cout << result.cells.scheme(front[i]).scheme;
     }
     std::cout << "\n";
     const auto on_front = [&](const std::string& name) {
       return std::any_of(front.begin(), front.end(), [&](std::size_t i) {
-        return result.cells[i].scheme->scheme == name;
+        return result.cells.scheme(i).scheme == name;
       });
     };
     std::cout << "Paper's picks: H(71,64) "

@@ -25,13 +25,13 @@ void sweep(const std::string& name,
   const auto result = explore::SweepRunner{}.run(grid);
   // Cells are code-minor: variant j holds uncoded at 2j, H(7,4) at 2j+1.
   for (std::size_t j = 0; j < cases.size(); ++j) {
-    const auto& unc = result.cells[2 * j];
-    const auto& h74 = result.cells[2 * j + 1];
-    const auto& pu = unc.scheme->operating_point;
+    const explore::ResultTable& cells = result.cells;
+    const std::size_t unc = 2 * j, h74 = 2 * j + 1;
+    const auto& pu = cells.scheme(unc).operating_point;
     table.add_row({
         name,
         cases[j].first,
-        math::format_fixed(*unc.metric("total_loss_db"), 2),
+        math::format_fixed(*cells.metric(unc, "total_loss_db"), 2),
         pu.feasible
             ? math::format_fixed(math::as_micro(pu.op_laser_w), 0)
             // append() avoids GCC 12's -Wrestrict false positive (PR105651).
@@ -39,8 +39,9 @@ void sweep(const std::string& name,
                   math::format_fixed(math::as_micro(pu.op_laser_w), 0)),
         pu.feasible ? math::format_fixed(math::as_milli(pu.p_laser_w), 2)
                     : "infeasible",
-        h74.feasible
-            ? math::format_fixed(math::as_milli(*h74.metric("p_laser_w")), 2)
+        cells.feasible(h74)
+            ? math::format_fixed(
+                  math::as_milli(*cells.metric(h74, "p_laser_w")), 2)
             : "infeasible",
     });
   }

@@ -9,7 +9,7 @@
 //
 // Usage: bench_codec_throughput [--smoke]
 //   full:    per-code scalar vs batch encode/decode timing, JSON record
-//            (BENCH_codec.json) on stdout; asserts >= 20x batch speedup
+//            on stdout; asserts >= 20x batch speedup
 //            for every Hamming and extended-Hamming code, encode and
 //            decode.  Run in Release — timings in Debug are meaningless.
 //   --smoke: no timing.  Pins batch == scalar bit-identity (messages

@@ -50,11 +50,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Cold reference: the legacy per-cell path, sequential.
+/// Cold reference: the per-cell evaluate_link_cell path, sequential.
 explore::ExperimentResult run_cold(const explore::ScenarioGrid& grid) {
-  const explore::SweepRunner runner{{1}};
-  return runner.run(grid, explore::SweepRunner::Evaluator{
-                              explore::evaluate_link_cell});
+  explore::ExperimentResult result;
+  result.cells = explore::ResultTable(explore::result_schema(grid),
+                                      grid.size(), true);
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    explore::evaluate_link_cell(grid.at(i), result.cells);
+  return result;
 }
 
 /// Byte-compares two results' exports; reports and returns false on

@@ -8,8 +8,7 @@
 // preset (the same spec examples/specs/fig6b.json serializes), lowered
 // by spec::run onto the parallel SweepRunner; per-BER fronts come from
 // the engine's generic N-objective Pareto extraction with the spec's
-// two objectives (CT, Pchannel), on the per-BER slices of the one
-// evaluated grid.
+// two objectives (CT, Pchannel), on one-BER runs of the same spec.
 #include <iostream>
 
 #include "photecc/core/report.hpp"
@@ -31,21 +30,20 @@ int main() {
                "ECC ===\n\n";
   core::print_table(std::cout,
                     "(CT, Pchannel) points; '*' = on the Pareto front:",
-                    core::pareto_table(result.to_tradeoff_sweep()));
+                    core::pareto_table(result.cells.to_tradeoff_sweep()));
 
   std::cout << "Per-BER Pareto fronts:\n";
   for (const double ber : bers) {
-    std::vector<explore::CellResult> slice;
-    for (const auto& cell : result.cells)
-      if (cell.label("target_ber") == math::format_sci(ber, 0))
-        slice.push_back(cell);
-    const auto front = explore::pareto_front_indices(slice, objectives);
+    spec::ExperimentSpec one_ber = experiment;
+    one_ber.ber_targets = {ber};
+    const auto slice = spec::run(one_ber);
+    const auto front = slice.pareto_front(objectives);
     std::cout << "  BER " << math::format_sci(ber, 0) << ": ";
     for (std::size_t i = 0; i < front.size(); ++i) {
       if (i) std::cout << " -> ";
-      std::cout << slice[front[i]].scheme->scheme;
+      std::cout << slice.cells.scheme(front[i]).scheme;
     }
-    std::cout << "  (" << front.size() << " of " << slice.size()
+    std::cout << "  (" << front.size() << " of " << slice.cells.size()
               << " schemes on the front)\n";
   }
   std::cout << "\nPaper: all coding techniques belong to the Pareto front "

@@ -18,8 +18,8 @@
 //   bench_modulation_tradeoff --smoke    small grid, 1-vs-4-thread
 //                                        byte-identity self-check (CI)
 //
-// Both modes end with a JSON summary block (BENCH_modulation.json
-// records the committed baseline).
+// Both modes end with a JSON summary block; the full sweep's counts are
+// asserted by SpecRun.ModulationPresetCounts (tests/spec).
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -47,13 +47,14 @@ spec::ExperimentSpec make_spec(bool smoke) {
 void print_json_summary(const explore::ExperimentResult& result,
                         const std::vector<std::size_t>& front,
                         bool identical) {
+  const explore::ResultTable& cells = result.cells;
   std::size_t feasible = 0, pam4_cells = 0, pam4_on_front = 0;
-  for (const auto& cell : result.cells) {
-    if (cell.feasible) ++feasible;
-    if (cell.label("modulation") == "pam4") ++pam4_cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells.feasible(i)) ++feasible;
+    if (cells.label(i, "modulation") == "pam4") ++pam4_cells;
   }
   for (const std::size_t i : front)
-    if (result.cells[i].label("modulation") == "pam4") ++pam4_on_front;
+    if (cells.label(i, "modulation") == "pam4") ++pam4_on_front;
   std::cout << "{\n"
             << "  \"benchmark\": \"modulation_tradeoff\",\n"
             << "  \"cells\": " << result.cells.size() << ",\n"
@@ -106,14 +107,14 @@ int run_full() {
 
   math::TextTable table({"link", "modulation", "scheme", "target BER",
                          "CT", "Plaser [mW]", "E/bit [pJ]", "feasible"});
-  for (const auto& cell : result.cells) {
-    if (!cell.feasible &&
-        cell.label("modulation") == std::string("ook"))
+  const explore::ResultTable& cells = result.cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!cells.feasible(i) && cells.label(i, "modulation") == "ook")
       continue;  // keep the table focused; infeasible OOK is the paper
-    const auto& m = *cell.scheme;
+    const auto& m = cells.scheme(i);
     table.add_row({
-        cell.label("link").value_or("paper"),
-        cell.label("modulation").value_or("ook"),
+        cells.label(i, "link").value_or("paper"),
+        cells.label(i, "modulation").value_or("ook"),
         m.scheme,
         math::format_sci(m.target_ber, 0),
         math::format_fixed(m.ct, 3),
@@ -131,15 +132,13 @@ int run_full() {
   std::cout << "Combined (CT, Pchannel) Pareto front:\n";
   std::size_t sub_unity_ct = 0;
   for (const std::size_t i : front) {
-    const auto& cell = result.cells[i];
-    if (cell.scheme->ct < 1.0) ++sub_unity_ct;
-    std::cout << "  " << cell.label("link").value_or("paper") << " "
-              << cell.label("modulation").value_or("ook") << " "
-              << cell.scheme->scheme << " @ BER "
-              << math::format_sci(cell.scheme->target_ber, 0) << " (CT "
-              << math::format_fixed(cell.scheme->ct, 3) << ", "
-              << math::format_fixed(
-                     math::as_milli(cell.scheme->p_channel_w), 2)
+    const core::SchemeMetrics& m = cells.scheme(i);
+    if (m.ct < 1.0) ++sub_unity_ct;
+    std::cout << "  " << cells.label(i, "link").value_or("paper") << " "
+              << cells.label(i, "modulation").value_or("ook") << " "
+              << m.scheme << " @ BER " << math::format_sci(m.target_ber, 0)
+              << " (CT " << math::format_fixed(m.ct, 3) << ", "
+              << math::format_fixed(math::as_milli(m.p_channel_w), 2)
               << " mW)\n";
   }
   std::cout << "\nPAM4 + strong coding opens the CT < 1 region ("

@@ -169,22 +169,21 @@ int run_fig6b(const spec::ExperimentSpec& experiment,
             << math::format_fixed(result.wall_time_s * 1e3, 1) << " ms) ===\n\n";
   core::print_table(std::cout,
                     "(CT, Pchannel) points; '*' = on the Pareto front:",
-                    core::pareto_table(result.to_tradeoff_sweep()));
+                    core::pareto_table(result.cells.to_tradeoff_sweep()));
 
   const auto objectives = spec::lower_objectives(experiment);
   std::cout << "Per-BER Pareto fronts:\n";
   for (const double ber : experiment.ber_targets) {
-    std::vector<explore::CellResult> slice;
-    for (const auto& cell : result.cells)
-      if (cell.label("target_ber") == math::format_sci(ber, 0))
-        slice.push_back(cell);
-    const auto front = explore::pareto_front_indices(slice, objectives);
+    spec::ExperimentSpec one_ber = experiment;
+    one_ber.ber_targets = {ber};
+    const auto slice = spec::run(one_ber);
+    const auto front = slice.pareto_front(objectives);
     std::cout << "  BER " << math::format_sci(ber, 0) << ": ";
     for (std::size_t i = 0; i < front.size(); ++i) {
       if (i) std::cout << " -> ";
       // Tags non-OOK formats ("H(7,4) @pam4") so mixed-modulation
       // fronts stay unambiguous; plain scheme names for OOK.
-      std::cout << core::scheme_display_name(*slice[front[i]].scheme);
+      std::cout << core::scheme_display_name(slice.cells.scheme(front[i]));
     }
     std::cout << "\n";
   }
@@ -211,9 +210,10 @@ int run_noc(const spec::ExperimentSpec& experiment, const Options& options) {
        {"delivered", "mean lat [ns]", "E/bit [pJ]", "idle laser [nJ]"})
     headers.push_back(metric_header);
   math::TextTable table(headers);
-  for (const auto& cell : result.cells) {
+  const explore::ResultTable& cells = result.cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto label = [&](const std::string& axis) {
-      return cell.label(axis).value_or("-");
+      return cells.label(i, axis).value_or("-");
     };
     std::vector<std::string> row{
         label("oni_count"),
@@ -222,13 +222,13 @@ int run_noc(const spec::ExperimentSpec& experiment, const Options& options) {
         label("policy"),
     };
     if (with_modulation) row.push_back(label("modulation"));
-    row.push_back(math::format_fixed(*cell.metric("delivered"), 0));
+    row.push_back(math::format_fixed(*cells.metric(i, "delivered"), 0));
     row.push_back(
-        math::format_fixed(*cell.metric("mean_latency_s") * 1e9, 1));
+        math::format_fixed(*cells.metric(i, "mean_latency_s") * 1e9, 1));
     row.push_back(math::format_fixed(
-        math::as_pico(*cell.metric("energy_per_bit_j")), 2));
-    row.push_back(
-        math::format_fixed(*cell.metric("idle_laser_energy_j") * 1e9, 2));
+        math::as_pico(*cells.metric(i, "energy_per_bit_j")), 2));
+    row.push_back(math::format_fixed(
+        *cells.metric(i, "idle_laser_energy_j") * 1e9, 2));
     table.add_row(row);
   }
   table.render(std::cout);
@@ -254,8 +254,8 @@ int run_config(const spec::ExperimentSpec& experiment,
             << math::format_fixed(result.wall_time_s * 1e3, 1)
             << " ms) ===\n";
   std::size_t feasible = 0;
-  for (const auto& cell : result.cells)
-    if (cell.feasible) ++feasible;
+  for (std::size_t i = 0; i < result.cells.size(); ++i)
+    feasible += result.cells.feasible(i);
   std::cout << "feasible: " << feasible << " of " << result.cells.size()
             << "\n";
   if (!experiment.objectives.empty()) {
@@ -268,15 +268,16 @@ int run_config(const spec::ExperimentSpec& experiment,
                 << experiment.objectives[i].metric;
     }
     std::cout << "): " << front.size() << " cells\n";
+    const explore::ResultTable& cells = result.cells;
     for (const std::size_t i : front) {
-      const auto& cell = result.cells[i];
-      std::cout << "  #" << cell.index;
-      for (const auto& [axis, value] : cell.labels)
-        std::cout << " " << axis << "=" << value;
+      std::cout << "  #" << i;
+      for (std::size_t a = 0; a < cells.schema().axes.size(); ++a)
+        std::cout << " " << cells.schema().axes[a].name << "="
+                  << cells.label(i, a);
       for (const auto& objective : experiment.objectives)
         std::cout << " " << objective.metric << "="
                   << math::json::number(
-                         cell.metric(objective.metric).value_or(0.0));
+                         cells.metric(i, objective.metric).value_or(0.0));
       std::cout << "\n";
     }
   }

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   // 3. Run the spec and print the paper's power/performance table.
   const auto result = spec::run(experiment);
-  std::vector<core::SchemeMetrics> metrics;
-  for (const auto& cell : result.cells) metrics.push_back(*cell.scheme);
+  const std::vector<core::SchemeMetrics> metrics =
+      result.cells.to_tradeoff_sweep().points;
   core::print_table(std::cout,
                     "Operating points @ target BER " +
                         math::format_sci(target_ber, 0) + ":",

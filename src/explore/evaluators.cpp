@@ -1,11 +1,11 @@
 #include "photecc/explore/evaluators.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
-
-#include <algorithm>
 
 #include "photecc/cooling/cooling_code.hpp"
 #include "photecc/core/channel_power.hpp"
@@ -80,42 +80,76 @@ double menu_duty_bound(const std::vector<ecc::BlockCodePtr>& menu) {
 
 }  // namespace
 
-CellResult evaluate_link_cell(const Scenario& scenario) {
-  cooling::register_cooling_codes();
-  CellResult result;
-  result.index = scenario.index;
-  result.labels = scenario.labels;
+ResultSchema result_schema(const ScenarioGrid& grid) {
+  ResultSchema schema;
+  schema.axes = grid.axis_labels();
+  const bool cooling = !grid.cooling_axis().empty();
+  std::vector<std::string>& metrics = schema.metrics;
+  if (!grid.runs_simulator()) {
+    metrics = link_cell_metric_names();
+    if (cooling)
+      for (const std::string& name : cooling_metric_names())
+        metrics.push_back(name);
+    return schema;
+  }
 
+  metrics = noc_cell_metric_names();
+  const auto& network = grid.network_spec();
+  const auto& variants = grid.link_variant_axis();
+  const bool environment =
+      !grid.environment_axis().empty() ||
+      (network && !network->channel_environments.empty()) ||
+      (variants.empty()
+           ? grid.base_link_params().environment.has_value()
+           : std::any_of(variants.begin(), variants.end(),
+                         [](const LinkVariant& v) {
+                           return v.second.environment.has_value();
+                         }));
+  if (environment)
+    for (const std::string& name : noc_env_metric_names())
+      metrics.push_back(name);
+  if (cooling) metrics.push_back(cooling_metric_names().front());
+  if (network)
+    for (std::size_t ch = 0; ch < network->channel_count; ++ch)
+      for (const std::string& name : network_channel_metric_names())
+        metrics.push_back("ch" + std::to_string(ch) + "_" + name);
+  return schema;
+}
+
+void store_link_cell(ResultTable& table, std::size_t row,
+                     core::SchemeMetrics m, double total_loss_db,
+                     const link::MwsrChannel& channel, bool cooling) {
+  table.set_feasible(row, m.feasible);
+  const std::span<double> out = table.metric_row(row);
+  out[0] = m.ct;
+  out[1] = m.p_channel_w;
+  out[2] = m.p_laser_w;
+  out[3] = m.p_mr_w;
+  out[4] = m.p_enc_dec_w;
+  out[5] = m.energy_per_bit_j;
+  out[6] = m.code_rate;
+  out[7] = m.operating_point.op_laser_w;
+  out[8] = m.operating_point.snr;
+  out[9] = m.p_interconnect_w;
+  out[10] = total_loss_db;
+  if (cooling) {
+    out[11] = m.duty_bound;
+    out[12] = core::thermal_headroom_w(channel, m, channel.environment());
+  }
+  table.scheme(row) = std::move(m);
+}
+
+void evaluate_link_cell(const Scenario& scenario, ResultTable& table) {
+  cooling::register_cooling_codes();
   const link::MwsrChannel channel{scenario.link};
   const auto code = ecc::make_code(scenario.code.value_or("w/o ECC"));
   core::SchemeMetrics m =
       core::evaluate_scheme(channel, *code, scenario.target_ber,
                             scenario.system);
-  result.feasible = m.feasible;
-  result.set_metric("ct", m.ct);
-  result.set_metric("p_channel_w", m.p_channel_w);
-  result.set_metric("p_laser_w", m.p_laser_w);
-  result.set_metric("p_mr_w", m.p_mr_w);
-  result.set_metric("p_enc_dec_w", m.p_enc_dec_w);
-  result.set_metric("energy_per_bit_j", m.energy_per_bit_j);
-  result.set_metric("code_rate", m.code_rate);
-  result.set_metric("op_laser_w", m.operating_point.op_laser_w);
-  result.set_metric("snr", m.operating_point.snr);
-  result.set_metric("p_interconnect_w", m.p_interconnect_w);
-
   const auto budget =
       link::compute_link_budget(channel, channel.worst_channel());
-  result.set_metric("total_loss_db", budget.total_loss_db);
-
-  if (scenario.cooling_weight) {
-    result.set_metric("duty_bound", m.duty_bound);
-    result.set_metric(
-        "thermal_headroom_w",
-        core::thermal_headroom_w(channel, m, channel.environment()));
-  }
-
-  result.scheme = std::move(m);
-  return result;
+  store_link_cell(table, scenario.index, std::move(m), budget.total_loss_db,
+                  channel, scenario.cooling_weight.has_value());
 }
 
 namespace {
@@ -141,46 +175,10 @@ std::shared_ptr<const noc::TrafficGenerator> make_generator(
       noc::TrafficClass::kBestEffort, scenario.target_ber);
 }
 
-/// Aggregate columns, in the noc_cell_metric_names() order
-/// (+ noc_env_metric_names() when env_columns).
-void set_aggregate_metrics(CellResult& result, const noc::NocStats& stats,
-                           std::uint64_t total_payload_bits,
-                           bool env_columns) {
-  result.feasible = stats.delivered > 0;
-  result.set_metric("delivered", static_cast<double>(stats.delivered));
-  result.set_metric("dropped", static_cast<double>(stats.dropped));
-  result.set_metric("deadline_misses",
-                    static_cast<double>(stats.deadline_misses));
-  result.set_metric("mean_latency_s", stats.mean_latency_s);
-  result.set_metric("p95_latency_s", stats.p95_latency_s);
-  result.set_metric("max_latency_s", stats.max_latency_s);
-  result.set_metric("total_energy_j", stats.total_energy_j);
-  result.set_metric("laser_energy_j", stats.laser_energy_j);
-  result.set_metric("idle_laser_energy_j", stats.idle_laser_energy_j);
-  result.set_metric("energy_per_bit_j",
-                    stats.energy_per_bit_j(total_payload_bits));
-  result.set_metric("busy_time_s", stats.busy_time_s);
-  if (env_columns) {
-    // Environment-only columns: appended after the stable set so
-    // environment-free grids keep their historical export layout.
-    result.set_metric("dropped_thermal",
-                      static_cast<double>(stats.dropped_thermal));
-    result.set_metric("recalibrations",
-                      static_cast<double>(stats.recalibrations));
-    result.set_metric("recalibration_energy_j",
-                      stats.recalibration_energy_j);
-    result.set_metric("peak_activity", stats.peak_activity);
-    result.set_metric("final_activity", stats.final_activity);
-  }
-}
-
 }  // namespace
 
-CellResult evaluate_network_cell(const Scenario& scenario) {
+void evaluate_network_cell(const Scenario& scenario, ResultTable& table) {
   cooling::register_cooling_codes();
-  CellResult result;
-  result.index = scenario.index;
-  result.labels = scenario.labels;
 
   noc::NetworkConfig config;
   config.base_link = scenario.link;
@@ -192,7 +190,6 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
   config.default_requirements.target_ber = scenario.target_ber;
   config.default_requirements.policy = scenario.policy;
   config.laser_gating = scenario.laser_gating;
-  bool env_columns = scenario.link.environment.has_value();
   double duty_bound = menu_duty_bound(config.scheme_menu);
 
   if (!scenario.network) {
@@ -232,7 +229,6 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
               net.channel_environments[ch].second;
       }
     }
-    env_columns = env_columns || !net.channel_environments.empty();
 
     // The network-wide duty bound is the loosest channel's: every
     // channel without a pinned cooling code can light all its wires.
@@ -251,29 +247,52 @@ CellResult evaluate_network_cell(const Scenario& scenario) {
   const noc::NetworkRunResult run =
       simulator.run(*generator, scenario.noc_horizon_s, scenario.seed);
 
-  set_aggregate_metrics(result, run.stats.aggregate, run.total_payload_bits,
-                        env_columns);
-  if (scenario.cooling_weight) result.set_metric("duty_bound", duty_bound);
-
-  if (!scenario.network) return result;
-  for (std::size_t ch = 0; ch < run.stats.channels.size(); ++ch) {
-    const noc::NocStats& cs = run.stats.channels[ch];
-    const std::string prefix = "ch" + std::to_string(ch) + "_";
-    result.set_metric(prefix + "delivered",
-                      static_cast<double>(cs.delivered));
-    result.set_metric(prefix + "dropped", static_cast<double>(cs.dropped));
-    result.set_metric(prefix + "dropped_thermal",
-                      static_cast<double>(cs.dropped_thermal));
-    result.set_metric(prefix + "mean_latency_s", cs.mean_latency_s);
-    result.set_metric(prefix + "p95_latency_s", cs.p95_latency_s);
-    result.set_metric(prefix + "total_energy_j", cs.total_energy_j);
-    result.set_metric(
-        prefix + "energy_per_bit_j",
-        cs.energy_per_bit_j(run.stats.channel_payload_bits[ch]));
-    result.set_metric(prefix + "recalibrations",
-                      static_cast<double>(cs.recalibrations));
+  // The columns in result_schema() order; whether the environment
+  // columns exist is the grid's decision, read off the schema.
+  const noc::NocStats& stats = run.stats.aggregate;
+  table.set_feasible(scenario.index, stats.delivered > 0);
+  const std::span<double> row = table.metric_row(scenario.index);
+  std::size_t k = 0;
+  const auto put = [&](double value) {
+    if (k < row.size()) row[k] = value;
+    ++k;
+  };
+  put(static_cast<double>(stats.delivered));
+  put(static_cast<double>(stats.dropped));
+  put(static_cast<double>(stats.deadline_misses));
+  put(stats.mean_latency_s);
+  put(stats.p95_latency_s);
+  put(stats.max_latency_s);
+  put(stats.total_energy_j);
+  put(stats.laser_energy_j);
+  put(stats.idle_laser_energy_j);
+  put(stats.energy_per_bit_j(run.total_payload_bits));
+  put(stats.busy_time_s);
+  if (table.schema().metric_column(noc_env_metric_names().front())) {
+    put(static_cast<double>(stats.dropped_thermal));
+    put(static_cast<double>(stats.recalibrations));
+    put(stats.recalibration_energy_j);
+    put(stats.peak_activity);
+    put(stats.final_activity);
   }
-  return result;
+  if (scenario.cooling_weight) put(duty_bound);
+  if (scenario.network) {
+    for (std::size_t ch = 0; ch < run.stats.channels.size(); ++ch) {
+      const noc::NocStats& cs = run.stats.channels[ch];
+      put(static_cast<double>(cs.delivered));
+      put(static_cast<double>(cs.dropped));
+      put(static_cast<double>(cs.dropped_thermal));
+      put(cs.mean_latency_s);
+      put(cs.p95_latency_s);
+      put(cs.total_energy_j);
+      put(cs.energy_per_bit_j(run.stats.channel_payload_bits[ch]));
+      put(static_cast<double>(cs.recalibrations));
+    }
+  }
+  if (k != row.size())
+    throw std::logic_error("evaluate_network_cell: wrote " +
+                           std::to_string(k) + " of " +
+                           std::to_string(row.size()) + " schema columns");
 }
 
 }  // namespace photecc::explore

@@ -118,12 +118,27 @@ ScenarioGrid& ScenarioGrid::network(NetworkSpec spec) {
   return *this;
 }
 
+ScenarioGrid& ScenarioGrid::simulator(bool on) {
+  simulator_ = on;
+  return *this;
+}
+
 namespace {
 
 /// Length an axis contributes to the mixed radix (1 when undeclared).
 std::size_t radix(std::size_t axis_length) {
   return axis_length ? axis_length : 1;
 }
+
+// The label formats of at() that are more than the value's own name;
+// axis_labels() renders the result schema's dictionaries with them.
+std::string cooling_label(std::size_t weight) {
+  // append() sidesteps GCC 12's -Wrestrict false positive (PR105651).
+  return weight == 0 ? std::string("off")
+                     : std::string("w").append(std::to_string(weight));
+}
+std::string ber_label(double ber) { return math::format_sci(ber, 0); }
+std::string gating_label(bool on) { return on ? "on" : "off"; }
 
 }  // namespace
 
@@ -137,8 +152,32 @@ std::size_t ScenarioGrid::size() const {
 }
 
 bool ScenarioGrid::runs_simulator() const {
-  return network_ || !traffic_.empty() || !gating_.empty() ||
+  return simulator_ || network_ || !traffic_.empty() || !gating_.empty() ||
          !policies_.empty();
+}
+
+std::vector<AxisLabels> ScenarioGrid::axis_labels() const {
+  std::vector<AxisLabels> axes;
+  const auto add = [&axes](const char* name, const auto& values,
+                           const auto& format) {
+    if (values.empty()) return;
+    AxisLabels& axis = axes.emplace_back(AxisLabels{name, {}});
+    for (const auto& value : values) axis.labels.push_back(format(value));
+  };
+  add("code", codes_, [](const std::string& code) { return code; });
+  add("cooling", cooling_weights_, cooling_label);
+  add("target_ber", bers_, ber_label);
+  add("link", link_variants_, [](const LinkVariant& v) { return v.first; });
+  add("oni_count", oni_counts_,
+      [](std::size_t count) { return std::to_string(count); });
+  add("traffic", traffic_, [](const TrafficSpec& t) { return t.label; });
+  add("laser_gating", gating_, gating_label);
+  add("policy", policies_, [](core::Policy p) { return core::to_string(p); });
+  add("modulation", modulations_,
+      [](math::Modulation m) { return math::to_string(m); });
+  add("environment", environments_,
+      [](const EnvironmentVariant& v) { return v.first; });
+  return axes;
 }
 
 Scenario ScenarioGrid::at(std::size_t i) const {
@@ -179,12 +218,11 @@ Scenario ScenarioGrid::at(std::size_t i) const {
     s.cooling_weight = w;
     if (w > 0)
       s.code = cooling::cooling_name(s.code.value_or("w/o ECC"), w);
-    s.labels.emplace_back("cooling",
-                          w == 0 ? "off" : "w" + std::to_string(w));
+    s.labels.emplace_back("cooling", cooling_label(w));
   }
   if (const std::size_t d = digit(bers_.size()); !bers_.empty()) {
     s.target_ber = bers_[d];
-    s.labels.emplace_back("target_ber", math::format_sci(s.target_ber, 0));
+    s.labels.emplace_back("target_ber", ber_label(s.target_ber));
   }
   if (const std::size_t d = digit(link_variants_.size());
       !link_variants_.empty()) {
@@ -202,7 +240,7 @@ Scenario ScenarioGrid::at(std::size_t i) const {
   }
   if (const std::size_t d = digit(gating_.size()); !gating_.empty()) {
     s.laser_gating = gating_[d];
-    s.labels.emplace_back("laser_gating", s.laser_gating ? "on" : "off");
+    s.labels.emplace_back("laser_gating", gating_label(s.laser_gating));
   }
   if (const std::size_t d = digit(policies_.size()); !policies_.empty()) {
     s.policy = policies_[d];

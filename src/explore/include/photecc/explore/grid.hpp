@@ -66,6 +66,10 @@ class ScenarioGrid {
   /// the topology and per-channel assignment are fixed while the
   /// declared axes sweep).  Routes the grid to the network evaluator.
   ScenarioGrid& network(NetworkSpec spec);
+  /// Routes every cell through the NoC simulator even without a network
+  /// section or NoC axis — what a spec's "noc" / "network" evaluator
+  /// lowers to.
+  ScenarioGrid& simulator(bool on = true);
 
   // --- Axis inspection (read-only views used by the lowered-plan
   // compiler; an empty vector means the axis is undeclared and every
@@ -102,17 +106,26 @@ class ScenarioGrid {
       const noexcept {
     return base_system_;
   }
+  [[nodiscard]] const std::optional<NetworkSpec>& network_spec()
+      const noexcept {
+    return network_;
+  }
+
+  /// The declared axes in canonical order, each with one label per
+  /// value in the format at() attaches to a Scenario — the result
+  /// schema's axis dictionaries.
+  [[nodiscard]] std::vector<AxisLabels> axis_labels() const;
 
   /// Number of cells: the product of the declared axis lengths (1 when
   /// no axis is declared — the grid still holds the single base cell).
   [[nodiscard]] std::size_t size() const;
 
-  /// True when the grid's cells need the NoC simulator: a network
-  /// section or any NoC-only axis (traffic, gating, policy) is
-  /// declared.  Every other grid is a static link sweep that compiles to
-  /// an explore::LoweredPlan.  This is the one routing decision between
-  /// the two (SweepRunner::run, LoweredPlan, spec::run and serve all
-  /// ask it).
+  /// True when the grid's cells need the NoC simulator: simulator() is
+  /// set, or a network section or any NoC-only axis (traffic, gating,
+  /// policy) is declared.  Every other grid is a static link sweep that
+  /// compiles to an explore::LoweredPlan.  This is the one routing
+  /// decision between the two (SweepRunner::run, LoweredPlan and
+  /// result_schema ask it; spec::run and serve reach it through them).
   [[nodiscard]] bool runs_simulator() const;
 
   /// Materialises cell `i` (mixed-radix decode of the axis indices).
@@ -171,6 +184,7 @@ class ScenarioGrid {
   link::MwsrParams base_link_{};
   core::SystemConfig base_system_{};
   std::optional<NetworkSpec> network_;
+  bool simulator_ = false;
   std::uint64_t base_seed_ = 0x9e3779b97f4a7c15ULL;
   double noc_horizon_s_ = 2e-6;
 };

@@ -1,34 +1,33 @@
 // Lowered sweep plans: the lower-once/execute-many hot path of the
 // exploration engine.
 //
-// SweepRunner's legacy evaluator path re-derives every per-cell
-// invariant from scratch: each cell builds an MwsrChannel (two O(NW^2)
-// worst-channel scans — one in the solver, one in the link budget),
-// re-runs the (code, target BER) code-model inversion (~45 Brent
-// iterations) and re-formats its axis labels.  A LoweredPlan compiles a
-// ScenarioGrid that does not run the simulator once:
+// Evaluating a link cell from scratch (evaluate_link_cell, the per-cell
+// reference) builds an MwsrChannel (two O(NW^2) worst-channel scans —
+// one in the solver, one in the link budget) and re-runs the (code,
+// target BER) code-model inversion (~45 Brent iterations).  A
+// LoweredPlan compiles a ScenarioGrid that does not run the simulator
+// once:
 //
-//   lower    - one channel + core::ChannelSweepPlan + link budget per
-//              distinct (link variant, ONI count, modulation,
-//              environment) combo; one shared (code, BER) raw-BER
-//              requirement table; one label string per axis value
+//   lower    - the grid's ResultSchema; one channel +
+//              core::ChannelSweepPlan + link budget per distinct (link
+//              variant, ONI count, modulation, environment) combo; one
+//              shared (code, BER) raw-BER requirement table
 //   execute  - axis-contiguous struct-of-arrays cell blocks: a gather
 //              pass decodes indices and reads the requirement table, a
 //              batched pass maps BER -> SNR, an assembly pass finishes
-//              the closed-form power algebra
+//              the closed-form power algebra into the ResultTable rows
 //
 // Every cell is bit-identical to evaluate_link_cell on the same
 // Scenario (the hoisted tables are computed by the same functions the
-// one-shot path calls, and the closed-form tail keeps its exact
-// expression trees), so CSV/JSON exports are byte-identical to the
-// legacy path at any thread count and any block size.
+// one-shot path calls, the closed-form tail keeps its exact expression
+// trees and both store through store_link_cell), so CSV/JSON exports
+// are byte-identical to the reference at any thread count and any
+// block size.
 #ifndef PHOTECC_EXPLORE_PLAN_HPP
 #define PHOTECC_EXPLORE_PLAN_HPP
 
 #include <cstddef>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "photecc/explore/grid.hpp"
@@ -57,33 +56,18 @@ class LoweredPlan {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Lowering-side counters (cells / execute_time_s are filled per
-  /// execute() call; warm_reuses here reflects one full execution).
-  [[nodiscard]] const SweepStats& lowering_stats() const noexcept {
-    return stats_;
-  }
-
   /// Evaluates every cell: 0 threads = hardware concurrency, 1 =
   /// sequential on the calling thread.  The result (and its CSV/JSON
   /// serialisation) is byte-identical for any thread count, and to
-  /// SweepRunner's legacy evaluate_link_cell path on the same grid.
-  /// result.stats carries this plan's counters.
+  /// evaluate_link_cell on every cell of the same grid.  result.stats
+  /// carries this plan's counters.
   [[nodiscard]] ExperimentResult execute(std::size_t threads = 1) const;
-
-  /// Observer of one finished cell block: cells[begin, end) of the
-  /// result vector are fully evaluated when it runs.
-  using BlockCallback = std::function<void(
-      std::size_t begin, std::size_t end,
-      const std::vector<CellResult>& cells)>;
 
   /// Block-streaming execution: like execute(threads), but invokes
   /// `on_block` once per block of PlanOptions::block_size cells, in
-  /// ascending block order — block k is always delivered before block
-  /// k+1, at ANY thread count, even though blocks *compute* out of
-  /// order under work stealing (a finished block is held back until
-  /// every earlier one has been delivered; callbacks never run
-  /// concurrently).  Large grids therefore stream results while later
-  /// blocks are still computing, which is what the serve daemon's
+  /// ascending block order at ANY thread count
+  /// (math::parallel_for_blocks_ordered), so large grids stream results
+  /// while later blocks are still computing — what the serve daemon's
   /// incremental `cells` records are built on.  The assembled result
   /// is byte-identical to the one-shot execute(threads).  A throwing
   /// callback aborts the sweep with parallel_for's first-exception
@@ -102,29 +86,19 @@ class LoweredPlan {
   };
 
   void execute_block(std::size_t begin, std::size_t end,
-                     std::vector<CellResult>& cells) const;
+                     ResultTable& cells) const;
 
   PlanOptions options_;
+  ResultSchema schema_;
   std::size_t size_ = 0;
 
   // Axis radices in grid enumeration order (1 = undeclared).
   std::size_t nc_ = 1, nw_ = 1, nb_ = 1, nv_ = 1, no_ = 1, nm_ = 1,
               ne_ = 1;
-  bool has_code_axis_ = false;
   bool has_cooling_axis_ = false;
-  bool has_ber_axis_ = false;
 
-  // Effective axis values (Scenario defaults when undeclared).
-  std::vector<std::string> code_names_;
+  // Effective BER values (Scenario's default when undeclared).
   std::vector<double> bers_;
-
-  // Pre-rendered label strings, one per declared axis value.
-  std::vector<std::string> cooling_labels_;
-  std::vector<std::string> ber_labels_;
-  std::vector<std::string> link_labels_;
-  std::vector<std::string> oni_labels_;
-  std::vector<std::string> mod_labels_;
-  std::vector<std::string> env_labels_;
 
   /// raw_ber of plan code (wi * nc_ + ci) at BER bi, indexed
   /// [bi * nc_ * nw_ + wi * nc_ + ci] — the shared requirement table

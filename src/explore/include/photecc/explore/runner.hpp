@@ -1,13 +1,16 @@
-// Parallel sweep execution: evaluates every cell of a ScenarioGrid on a
-// pool of worker threads pulling cells from a shared atomic queue
-// (work-stealing), with results written into the slot of their cell
-// index.  Combined with the grid's index-derived per-cell seeding, a
+// Sweep execution: the one entry point that runs any ScenarioGrid.
+// Link grids compile to an explore::LoweredPlan; grids that run the
+// simulator (ScenarioGrid::runs_simulator) evaluate
+// evaluate_network_cell per cell on a pool of worker threads pulling
+// cells from a shared atomic queue (work-stealing).  Either way every
+// cell lands in the ResultTable row of its index and blocks stream out
+// in ascending order through math::parallel_for_blocks_ordered, so a
 // run's ExperimentResult — and its CSV/JSON serialisation — is
 // byte-identical for any thread count.
 #ifndef PHOTECC_EXPLORE_RUNNER_HPP
 #define PHOTECC_EXPLORE_RUNNER_HPP
 
-#include <functional>
+#include <cstddef>
 
 #include "photecc/explore/grid.hpp"
 #include "photecc/explore/result.hpp"
@@ -22,27 +25,21 @@ struct SweepOptions {
 
 class SweepRunner {
  public:
-  using Evaluator = std::function<CellResult(const Scenario&)>;
-
   explicit SweepRunner(SweepOptions options = {}) : options_(options) {}
 
-  /// Evaluates every cell of `grid` with `evaluate`.  The evaluator must
-  /// be a pure function of the Scenario (the built-in ones are); it may
-  /// be called concurrently from several threads.
-  [[nodiscard]] ExperimentResult run(const ScenarioGrid& grid,
-                                     const Evaluator& evaluate) const;
-
-  /// Convenience: grids that run the simulator
-  /// (ScenarioGrid::runs_simulator) run evaluate_network_cell per cell;
-  /// every other grid is compiled to an explore::LoweredPlan and
-  /// executed on its batched hot path — byte-identical exports to the
-  /// evaluate_link_cell path, with result.stats reporting the plan's
-  /// counters.
+  /// Evaluates every cell of `grid`.  Link grids run on a LoweredPlan
+  /// (result.stats reports its counters); simulator grids run
+  /// evaluate_network_cell per cell (result.stats is unset).
   [[nodiscard]] ExperimentResult run(const ScenarioGrid& grid) const;
 
-  [[nodiscard]] const SweepOptions& options() const noexcept {
-    return options_;
-  }
+  /// Streaming run: like run(grid), but invokes `on_block` once per
+  /// consecutive block of `block_size` cells in ascending order, each as
+  /// soon as it and every earlier block are final — for link and
+  /// simulator grids alike.  The assembled result is byte-identical to
+  /// run(grid).
+  [[nodiscard]] ExperimentResult run(const ScenarioGrid& grid,
+                                     std::size_t block_size,
+                                     const BlockCallback& on_block) const;
 
  private:
   SweepOptions options_;

@@ -17,8 +17,7 @@
 
 namespace photecc::explore {
 
-/// Lookup in an (axis name, value label) list — the label shape shared
-/// by Scenario and CellResult.
+/// Lookup in an (axis name, value label) list — a Scenario's labels.
 [[nodiscard]] inline std::optional<std::string> find_label(
     const std::vector<std::pair<std::string, std::string>>& labels,
     const std::string& axis) {
@@ -26,6 +25,13 @@ namespace photecc::explore {
     if (name == axis) return value;
   return std::nullopt;
 }
+
+/// One declared grid axis as exports name it: the axis name and one
+/// label per axis value, in axis order (see ScenarioGrid::axis_labels).
+struct AxisLabels {
+  std::string name;
+  std::vector<std::string> labels;
+};
 
 /// Traffic workload axis value for NoC scenarios.
 struct TrafficSpec {
@@ -98,7 +104,7 @@ struct Scenario {
   core::Policy policy = core::Policy::kMinEnergy;
   double noc_horizon_s = 2e-6;
   /// (axis name, value label) for every axis the grid declares, in the
-  /// grid's canonical axis order.  Carried into CellResult and exports.
+  /// grid's canonical axis order.
   std::vector<std::pair<std::string, std::string>> labels;
 
   /// Value of the named axis label, or nullopt when the grid does not

@@ -5,106 +5,217 @@
 #include <cmath>
 #include <sstream>
 
-#include "photecc/explore/scenario.hpp"
 #include "photecc/math/json.hpp"
 
 namespace photecc::explore {
 
-void CellResult::set_metric(const std::string& name, double value) {
-  for (auto& [existing, v] : metrics) {
-    if (existing == name) {
-      v = value;
-      return;
-    }
-  }
-  metrics.emplace_back(name, value);
-}
-
-std::optional<double> CellResult::metric(const std::string& name) const {
-  for (const auto& [existing, v] : metrics)
-    if (existing == name) return v;
-  return std::nullopt;
-}
-
-std::optional<std::string> CellResult::label(const std::string& axis) const {
-  return find_label(labels, axis);
-}
-
 namespace {
 
-/// Objective values of a cell, or nullopt when any metric is missing
-/// (such a cell never dominates and is dominated by every feasible one).
-std::optional<std::vector<double>> objective_values(
-    const CellResult& cell, const std::vector<Objective>& objectives) {
-  if (!cell.feasible) return std::nullopt;
-  std::vector<double> values;
-  values.reserve(objectives.size());
-  for (const auto& objective : objectives) {
-    const auto v = cell.metric(objective.metric);
-    if (!v || !std::isfinite(*v)) return std::nullopt;
-    // Normalise to minimisation so the comparison below is uniform.
-    values.push_back(objective.minimize ? *v : -*v);
+/// Shortest round-trip double formatting (std::to_chars): deterministic
+/// across runs and thread counts, precise enough to reparse exactly.
+/// The JSON form writes non-finite values as null (math::json::number);
+/// the CSV form keeps to_chars' "inf" / "nan".
+void append_double(std::string& out, double value, bool json) {
+  if (json && !std::isfinite(value)) {
+    out += "null";
+    return;
   }
-  return values;
+  char buffer[64];
+  const auto [ptr, ec] =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  if (ec == std::errc{})
+    out.append(buffer, ptr);
+  else
+    out += json ? "null" : "nan";
 }
 
-/// b dominates a: no worse on every (minimisation-normalised) objective
-/// and strictly better on at least one.
-bool dominates(const std::vector<double>& b, const std::vector<double>& a) {
-  bool no_worse = true;
-  bool strictly_better = false;
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    if (b[k] > a[k]) no_worse = false;
-    if (b[k] < a[k]) strictly_better = true;
+/// RFC-4180 minimal quoting.
+std::string csv_field(const std::string& raw) {
+  if (raw.find_first_of(",\"\n") == std::string::npos) return raw;
+  std::string quoted = "\"";
+  for (const char c : raw) {
+    if (c == '"') quoted += '"';
+    quoted += c;
   }
-  return no_worse && strictly_better;
+  quoted += '"';
+  return quoted;
 }
 
 }  // namespace
 
-bool is_dominated(const CellResult& a, const CellResult& b,
-                  const std::vector<Objective>& objectives) {
-  const auto vb = objective_values(b, objectives);
-  if (!vb) return false;
-  const auto va = objective_values(a, objectives);
-  if (!va) return true;
-  return dominates(*vb, *va);
+std::optional<std::size_t> ResultSchema::metric_column(
+    std::string_view name) const {
+  for (std::size_t k = 0; k < metrics.size(); ++k)
+    if (metrics[k] == name) return k;
+  return std::nullopt;
 }
 
-std::vector<std::size_t> pareto_front_indices(
-    const std::vector<CellResult>& cells,
-    const std::vector<Objective>& objectives) {
-  // Derive each cell's objective vector once up front; the O(n^2)
-  // dominance loop then compares plain doubles instead of re-scanning
-  // string-keyed metric lists.
-  std::vector<std::optional<std::vector<double>>> values;
-  values.reserve(cells.size());
-  for (const auto& cell : cells)
-    values.push_back(objective_values(cell, objectives));
-
-  std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!values[i]) continue;
-    bool dominated = false;
-    for (std::size_t j = 0; j < cells.size() && !dominated; ++j) {
-      if (j != i && values[j] && dominates(*values[j], *values[i]))
-        dominated = true;
+ResultTable::ResultTable(ResultSchema schema, std::size_t rows,
+                         bool with_schemes)
+    : schema_(std::move(schema)),
+      values_(rows * schema_.metrics.size(), 0.0),
+      feasible_(rows, 0) {
+  if (with_schemes) schemes_.resize(rows);
+  std::size_t stride = 1;
+  for (const AxisLabels& axis : schema_.axes) {
+    strides_.push_back(stride);
+    stride *= std::max<std::size_t>(1, axis.labels.size());
+    const std::string key = math::json::escape(axis.name) + ':';
+    std::vector<std::string>& json = json_labels_.emplace_back();
+    std::vector<std::string>& csv = csv_labels_.emplace_back();
+    for (const std::string& label : axis.labels) {
+      json.push_back(key + math::json::escape(label));
+      csv.push_back(csv_field(label));
     }
+  }
+  for (const std::string& name : schema_.metrics)
+    json_metric_keys_.push_back(math::json::escape(name) + ':');
+}
+
+std::optional<std::string> ResultTable::label(std::size_t row,
+                                              std::string_view axis) const {
+  for (std::size_t a = 0; a < schema_.axes.size(); ++a)
+    if (schema_.axes[a].name == axis) return label(row, a);
+  return std::nullopt;
+}
+
+std::optional<double> ResultTable::metric(std::size_t row,
+                                          std::string_view name) const {
+  const auto column = schema_.metric_column(name);
+  if (!column) return std::nullopt;
+  return metric_row(row)[*column];
+}
+
+void ResultTable::append_cell_json(std::string& out, std::size_t row) const {
+  out += "{\"index\":";
+  out += std::to_string(row);
+  out += ",\"labels\":{";
+  for (std::size_t a = 0; a < json_labels_.size(); ++a) {
+    if (a) out += ',';
+    out += json_labels_[a][label_index(row, a)];
+  }
+  out += feasible(row) ? "},\"feasible\":true,\"metrics\":{"
+                       : "},\"feasible\":false,\"metrics\":{";
+  const std::span<const double> values = metric_row(row);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (k) out += ',';
+    out += json_metric_keys_[k];
+    append_double(out, values[k], true);
+  }
+  out += "}}";
+}
+
+void ResultTable::write_csv(std::ostream& os) const {
+  std::string line = "index";
+  for (const AxisLabels& axis : schema_.axes) {
+    line += ',';
+    line += csv_field(axis.name);
+  }
+  line += ",feasible";
+  for (const std::string& name : schema_.metrics) {
+    line += ',';
+    line += csv_field(name);
+  }
+  line += '\n';
+  os << line;
+
+  for (std::size_t row = 0; row < size(); ++row) {
+    line = std::to_string(row);
+    for (std::size_t a = 0; a < csv_labels_.size(); ++a) {
+      line += ',';
+      line += csv_labels_[a][label_index(row, a)];
+    }
+    line += feasible(row) ? ",1" : ",0";
+    for (const double value : metric_row(row)) {
+      line += ',';
+      append_double(line, value, false);
+    }
+    line += '\n';
+    os << line;
+  }
+}
+
+void ResultTable::write_json(std::ostream& os) const {
+  os << "{\"cells\":[";
+  std::string cell;
+  for (std::size_t row = 0; row < size(); ++row) {
+    cell = row ? ",\n  " : "\n  ";
+    append_cell_json(cell, row);
+    os << cell;
+  }
+  os << "\n]}\n";
+}
+
+std::vector<std::size_t> ResultTable::pareto_front(
+    const std::vector<Objective>& objectives) const {
+  std::vector<std::size_t> columns;
+  for (const Objective& objective : objectives) {
+    const auto column = schema_.metric_column(objective.metric);
+    if (!column) return {};
+    columns.push_back(*column);
+  }
+
+  // Each candidate's objective vector, normalised to minimisation so
+  // the dominance test below is uniform; cells that cannot be on the
+  // front (infeasible, or a non-finite objective) are left out.
+  const std::size_t m = columns.size();
+  std::vector<std::size_t> candidates;
+  std::vector<double> values;
+  for (std::size_t row = 0; row < size(); ++row) {
+    if (!feasible(row)) continue;
+    bool finite = true;
+    for (std::size_t k = 0; k < m && finite; ++k)
+      finite = std::isfinite(metric_row(row)[columns[k]]);
+    if (!finite) continue;
+    candidates.push_back(row);
+    for (std::size_t k = 0; k < m; ++k) {
+      const double v = metric_row(row)[columns[k]];
+      values.push_back(objectives[k].minimize ? v : -v);
+    }
+  }
+  const auto at = [&](std::size_t c) { return values.data() + c * m; };
+  // b dominates a: no worse on every objective, strictly better on one.
+  const auto dominates = [m](const double* b, const double* a) {
+    bool strictly_better = false;
+    for (std::size_t k = 0; k < m; ++k) {
+      if (b[k] > a[k]) return false;
+      if (b[k] < a[k]) strictly_better = true;
+    }
+    return strictly_better;
+  };
+
+  std::vector<std::size_t> front;  // positions in `candidates`
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < candidates.size() && !dominated; ++j)
+      dominated = j != i && dominates(at(j), at(i));
     if (!dominated) front.push_back(i);
   }
   std::sort(front.begin(), front.end(), [&](std::size_t lhs, std::size_t rhs) {
-    for (std::size_t k = 0; k < objectives.size(); ++k) {
-      if ((*values[lhs])[k] != (*values[rhs])[k])
-        return (*values[lhs])[k] < (*values[rhs])[k];
-    }
+    for (std::size_t k = 0; k < m; ++k)
+      if (at(lhs)[k] != at(rhs)[k]) return at(lhs)[k] < at(rhs)[k];
     return lhs < rhs;
   });
+  for (std::size_t& c : front) c = candidates[c];
   return front;
 }
 
-std::vector<std::size_t> ExperimentResult::pareto_front(
-    const std::vector<Objective>& objectives) const {
-  return pareto_front_indices(cells, objectives);
+core::TradeoffSweep ResultTable::to_tradeoff_sweep() const {
+  core::TradeoffSweep sweep;
+  sweep.points = schemes_;
+  return sweep;
+}
+
+std::string ExperimentResult::csv() const {
+  std::ostringstream os;
+  write_csv(os);
+  return os.str();
+}
+
+std::string ExperimentResult::json() const {
+  std::ostringstream os;
+  write_json(os);
+  return os.str();
 }
 
 double SweepStats::warm_hit_rate() const {
@@ -148,119 +259,6 @@ std::string SweepStats::json() const {
      << ",\"cells_per_second\":" << math::json::number(cells_per_second())
      << "}";
   return os.str();
-}
-
-namespace {
-
-/// Shortest round-trip double formatting (std::to_chars): deterministic
-/// across runs and thread counts, precise enough to reparse exactly.
-std::string format_double(double value) {
-  char buffer[64];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return ec == std::errc{} ? std::string(buffer, ptr) : std::string("nan");
-}
-
-/// RFC-4180 minimal quoting.
-std::string csv_field(const std::string& raw) {
-  if (raw.find_first_of(",\"\n") == std::string::npos) return raw;
-  std::string quoted = "\"";
-  for (const char c : raw) {
-    if (c == '"') quoted += '"';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
-/// First-seen-order union of (axis | metric) names over all cells.
-template <typename Pairs, typename Proj>
-std::vector<std::string> column_union(const Pairs& cells, Proj proj) {
-  std::vector<std::string> columns;
-  for (const auto& cell : cells) {
-    for (const auto& [name, value] : proj(cell)) {
-      (void)value;
-      if (std::find(columns.begin(), columns.end(), name) == columns.end())
-        columns.push_back(name);
-    }
-  }
-  return columns;
-}
-
-}  // namespace
-
-void ExperimentResult::write_csv(std::ostream& os) const {
-  const auto axes =
-      column_union(cells, [](const CellResult& c) { return c.labels; });
-  const auto metric_names =
-      column_union(cells, [](const CellResult& c) { return c.metrics; });
-
-  os << "index";
-  for (const auto& axis : axes) os << ',' << csv_field(axis);
-  os << ",feasible";
-  for (const auto& name : metric_names) os << ',' << csv_field(name);
-  os << '\n';
-
-  for (const auto& cell : cells) {
-    os << cell.index;
-    for (const auto& axis : axes) {
-      os << ',';
-      if (const auto v = cell.label(axis)) os << csv_field(*v);
-    }
-    os << ',' << (cell.feasible ? '1' : '0');
-    for (const auto& name : metric_names) {
-      os << ',';
-      if (const auto v = cell.metric(name)) os << format_double(*v);
-    }
-    os << '\n';
-  }
-}
-
-std::string ExperimentResult::csv() const {
-  std::ostringstream os;
-  write_csv(os);
-  return os.str();
-}
-
-void write_cell_json(std::ostream& os, const CellResult& cell) {
-  os << "{\"index\":" << cell.index << ",\"labels\":{";
-  for (std::size_t k = 0; k < cell.labels.size(); ++k) {
-    if (k) os << ',';
-    os << math::json::escape(cell.labels[k].first) << ':'
-       << math::json::escape(cell.labels[k].second);
-  }
-  os << "},\"feasible\":" << (cell.feasible ? "true" : "false")
-     << ",\"metrics\":{";
-  for (std::size_t k = 0; k < cell.metrics.size(); ++k) {
-    if (k) os << ',';
-    os << math::json::escape(cell.metrics[k].first) << ':'
-       << math::json::number(cell.metrics[k].second);
-  }
-  os << "}}";
-}
-
-void ExperimentResult::write_json(std::ostream& os) const {
-  os << "{\"cells\":[";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) os << ',';
-    os << "\n  ";
-    write_cell_json(os, cells[i]);
-  }
-  os << "\n]}\n";
-}
-
-std::string ExperimentResult::json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-core::TradeoffSweep ExperimentResult::to_tradeoff_sweep() const {
-  core::TradeoffSweep sweep;
-  sweep.points.reserve(cells.size());
-  for (const auto& cell : cells)
-    if (cell.scheme) sweep.points.push_back(*cell.scheme);
-  return sweep;
 }
 
 }  // namespace photecc::explore

@@ -1,5 +1,5 @@
 // Deterministic parallel execution over an index space — the execution
-// primitive shared by core::sweep_tradeoff and explore::SweepRunner.
+// primitive shared by core::sweep_tradeoff and the explore engine.
 //
 // Indices are handed out through an atomic counter (work-stealing from a
 // shared queue of one-cell tasks), so the *scheduling* is
@@ -40,6 +40,22 @@ void parallel_for(std::size_t n, std::size_t threads,
 void parallel_for_blocks(std::size_t n, std::size_t block_size,
                          std::size_t threads,
                          const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// parallel_for_blocks(n, block_size, threads, fn) with in-order
+/// delivery: deliver(begin, end) runs once per range of the fixed
+/// partition of [0, n) into `deliver_size` indices, as soon as fn has
+/// finished every index of that range and of all earlier ones.  Ranges
+/// are delivered in ascending order and never concurrently, at any
+/// thread count, although blocks compute out of order under work
+/// stealing — so a caller can stream slot-indexed results while later
+/// blocks still compute.  deliver_size == 0 is treated as 1.  A
+/// throwing fn or deliver aborts the loop with parallel_for's exception
+/// semantics.
+void parallel_for_blocks_ordered(
+    std::size_t n, std::size_t block_size, std::size_t deliver_size,
+    std::size_t threads,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    const std::function<void(std::size_t, std::size_t)>& deliver);
 
 }  // namespace photecc::math
 

@@ -64,4 +64,37 @@ void parallel_for_blocks(
   });
 }
 
+void parallel_for_blocks_ordered(
+    std::size_t n, std::size_t block_size, std::size_t deliver_size,
+    std::size_t threads,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    const std::function<void(std::size_t, std::size_t)>& deliver) {
+  // Per delivery range, the indices still being computed.  Whichever
+  // worker completes the oldest undelivered range drains every
+  // consecutive complete one under the mutex, so deliveries are
+  // serialised and strictly ascending.
+  if (deliver_size == 0) deliver_size = 1;
+  const std::size_t ranges = (n + deliver_size - 1) / deliver_size;
+  std::vector<std::size_t> pending(ranges, deliver_size);
+  if (ranges) pending.back() = n - (ranges - 1) * deliver_size;
+  std::size_t next_to_deliver = 0;
+  std::mutex mutex;
+  parallel_for_blocks(
+      n, block_size, threads, [&](std::size_t begin, std::size_t end) {
+        fn(begin, end);
+        const std::lock_guard<std::mutex> lock(mutex);
+        for (std::size_t i = begin; i < end;) {
+          const std::size_t r = i / deliver_size;
+          const std::size_t stop = std::min(end, (r + 1) * deliver_size);
+          pending[r] -= stop - i;
+          i = stop;
+        }
+        while (next_to_deliver < ranges && pending[next_to_deliver] == 0) {
+          const std::size_t b = next_to_deliver * deliver_size;
+          deliver(b, std::min(n, b + deliver_size));
+          ++next_to_deliver;
+        }
+      });
+}
+
 }  // namespace photecc::math

@@ -6,10 +6,11 @@
 //                                              // shutdown/EOF
 //   service.handle_line(line, out);            // or one line at a time
 //
-// A sweep request is answered incrementally: the header goes out as
-// soon as the plan is lowered, each cell block as soon as every earlier
-// block has finished (LoweredPlan's in-order streaming execute), the
-// done record last — so large grids stream while still computing.
+// A sweep request is answered incrementally, on one path for link and
+// simulator grids alike: the header (the grid's result schema) goes out
+// before any cell is evaluated, each cell block as soon as every
+// earlier block has finished (SweepRunner's in-order streaming run),
+// the done record last — so large grids stream while still computing.
 // Identical canonical specs are answered from the PlanCache with the
 // byte-identical record stream of the original compute, at zero solver
 // work.
@@ -56,7 +57,7 @@ struct ServeStats {
   std::size_t errors = 0;          ///< error records emitted
   std::size_t cache_hits = 0;      ///< sweeps replayed from the cache
   std::size_t cache_misses = 0;    ///< sweeps that had to compute
-  std::size_t plans_lowered = 0;   ///< actual LoweredPlan constructions
+  std::size_t plans_lowered = 0;   ///< link-grid LoweredPlan constructions
   std::size_t cells_streamed = 0;  ///< cells across all sweep responses
   /// Lifetime SweepStats: each computed run's stats merged in full,
   /// each cache replay merged as as_replay() — so `sweep.cells` counts
@@ -86,9 +87,6 @@ class Service {
 
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const PlanCache& cache() const noexcept { return cache_; }
-  [[nodiscard]] const ServiceOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   /// Threads to execute with: the service override, else the spec's.

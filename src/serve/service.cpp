@@ -1,16 +1,13 @@
 #include "photecc/serve/service.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "photecc/explore/evaluators.hpp"
-#include "photecc/explore/plan.hpp"
 #include "photecc/explore/runner.hpp"
 #include "photecc/math/hash.hpp"
 #include "photecc/spec/error.hpp"
@@ -22,22 +19,6 @@ namespace json = math::json;
 
 namespace {
 
-/// Names of the declared axes in canonical grid order — the label keys
-/// the cells of this sweep will carry.
-std::vector<std::string> axis_names(const spec::ExperimentSpec& experiment) {
-  std::vector<std::string> axes;
-  if (!experiment.codes.empty()) axes.emplace_back("code");
-  if (!experiment.ber_targets.empty()) axes.emplace_back("target_ber");
-  if (!experiment.links.empty()) axes.emplace_back("link");
-  if (!experiment.oni_counts.empty()) axes.emplace_back("oni_count");
-  if (!experiment.traffic.empty()) axes.emplace_back("traffic");
-  if (!experiment.laser_gating.empty()) axes.emplace_back("laser_gating");
-  if (!experiment.policies.empty()) axes.emplace_back("policy");
-  if (!experiment.modulations.empty()) axes.emplace_back("modulation");
-  if (!experiment.environments.empty()) axes.emplace_back("environment");
-  return axes;
-}
-
 std::string string_array(const std::vector<std::string>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -48,53 +29,43 @@ std::string string_array(const std::vector<std::string>& values) {
   return out;
 }
 
-/// Metric names in export column order: the first-seen-order union over
-/// all cells (the same order ExperimentResult::write_csv derives).
-std::vector<std::string> metric_union(
-    const std::vector<explore::CellResult>& cells) {
-  std::vector<std::string> names;
-  for (const explore::CellResult& cell : cells)
-    for (const auto& [name, value] : cell.metrics) {
-      (void)value;
-      if (std::find(names.begin(), names.end(), name) == names.end())
-        names.push_back(name);
-    }
-  return names;
-}
-
 std::string header_body(const spec::ExperimentSpec& experiment,
                         std::uint64_t hash, std::size_t cells,
                         std::size_t block_size,
-                        const std::vector<std::string>& metrics) {
+                        const explore::ResultSchema& schema) {
+  std::vector<std::string> axes;
+  for (const explore::AxisLabels& axis : schema.axes)
+    axes.push_back(axis.name);
   std::string body = ",\"spec_hash\":\"" + math::hex64(hash) + '"';
   if (!experiment.name.empty())
     body += ",\"name\":" + json::escape(experiment.name);
   body += ",\"cells\":" + std::to_string(cells);
   body += ",\"block_size\":" + std::to_string(block_size);
-  body += ",\"axes\":" + string_array(axis_names(experiment));
-  body += ",\"metrics\":" + string_array(metrics);
+  body += ",\"axes\":" + string_array(axes);
+  body += ",\"metrics\":" + string_array(schema.metrics);
   return body;
 }
 
 std::string cells_body(std::size_t begin, std::size_t end,
-                       const std::vector<explore::CellResult>& cells) {
-  std::ostringstream os;
-  os << ",\"begin\":" << begin << ",\"end\":" << end << ",\"cells\":[";
+                       const explore::ResultTable& cells) {
+  std::string body = ",\"begin\":" + std::to_string(begin) +
+                     ",\"end\":" + std::to_string(end) + ",\"cells\":[";
   for (std::size_t i = begin; i < end; ++i) {
-    if (i != begin) os << ',';
-    explore::write_cell_json(os, cells[i]);
+    if (i != begin) body += ',';
+    cells.append_cell_json(body, i);
   }
-  os << ']';
-  return os.str();
+  body += ']';
+  body.shrink_to_fit();  // cached verbatim: keep no growth slack
+  return body;
 }
 
 /// The done record carries only the DETERMINISTIC slice of the run's
 /// SweepStats (lowering and solver counts are functions of the grid;
 /// times and thread counts are not and stay off the wire).
-std::string done_body(const std::vector<explore::CellResult>& cells,
+std::string done_body(const explore::ResultTable& cells,
                       const explore::SweepStats& stats) {
   std::size_t feasible = 0;
-  for (const explore::CellResult& cell : cells) feasible += cell.feasible;
+  for (std::size_t i = 0; i < cells.size(); ++i) feasible += cells.feasible(i);
   std::string body = ",\"cells\":" + std::to_string(cells.size());
   body += ",\"feasible\":" + std::to_string(feasible);
   body += ",\"lowered\":{\"channels_lowered\":" +
@@ -234,41 +205,21 @@ void Service::handle_sweep(const Request& request, std::ostream& out) {
     entry.records.emplace_back(kind, std::move(body));
   };
 
+  // One path for every grid: the header comes from the grid's schema
+  // before any cell is evaluated, then the cell blocks stream in order
+  // as they complete.
   const explore::ScenarioGrid grid = spec::lower(experiment);
-  const auto evaluator = spec::cell_evaluator(experiment, grid);
-  explore::ExperimentResult result;
-  if (!evaluator) {
-    // Link hot path: lower once, stream blocks as they complete.  The
-    // header can go out before any cell computes because the link
-    // evaluator's metric columns are statically known.
-    const explore::LoweredPlan plan(grid, {options_.block_size});
-    ++stats_.plans_lowered;
-    deliver("header",
-            header_body(experiment, hash, plan.size(), options_.block_size,
-                        explore::link_cell_metric_names()));
-    result = plan.execute(
-        exec_threads(experiment),
-        [&](std::size_t begin, std::size_t end,
-            const std::vector<explore::CellResult>& cells) {
-          deliver("cells", cells_body(begin, end, cells));
-        });
-  } else {
-    // Per-cell evaluators have no streaming execute (and their metric
-    // columns are only known from the cells), so the sweep runs to
-    // completion first and the records are framed afterwards — same
-    // record shapes, just not incremental.
-    result = explore::SweepRunner{{exec_threads(experiment)}}.run(
-        grid, *evaluator);
-    deliver("header",
-            header_body(experiment, hash, result.cells.size(),
-                        options_.block_size, metric_union(result.cells)));
-    const std::size_t block = std::max<std::size_t>(1, options_.block_size);
-    for (std::size_t begin = 0; begin < result.cells.size(); begin += block)
-      deliver("cells",
-              cells_body(begin,
-                         std::min(result.cells.size(), begin + block),
-                         result.cells));
-  }
+  deliver("header", header_body(experiment, hash, grid.size(),
+                                options_.block_size,
+                                explore::result_schema(grid)));
+  const explore::ExperimentResult result =
+      explore::SweepRunner{{exec_threads(experiment)}}.run(
+          grid, options_.block_size,
+          [&](std::size_t begin, std::size_t end,
+              const explore::ResultTable& cells) {
+            deliver("cells", cells_body(begin, end, cells));
+          });
+  if (result.stats) ++stats_.plans_lowered;
 
   explore::SweepStats run_stats;
   if (result.stats) run_stats = *result.stats;

@@ -1,7 +1,7 @@
 // String-keyed extensible registries: the indirection that lets an
 // ExperimentSpec stay plain data.  Every axis value a spec names is
-// resolved here — link variants to MwsrParams, evaluator names to cell
-// evaluators, traffic kinds to TrafficSpec lowerings, policy and
+// resolved here — link variants to MwsrParams, evaluator names to the
+// grid's simulator flag, traffic kinds to TrafficSpec lowerings, policy and
 // modulation names to their enums, preset names to whole specs.
 // Registries are process-global and append-only: library users may
 // register their own variants next to the built-ins and reference them
@@ -17,7 +17,7 @@
 
 #include "photecc/core/manager.hpp"
 #include "photecc/env/environment.hpp"
-#include "photecc/explore/runner.hpp"
+#include "photecc/explore/scenario.hpp"
 #include "photecc/link/mwsr_channel.hpp"
 #include "photecc/math/modulation.hpp"
 #include "photecc/spec/error.hpp"
@@ -95,12 +95,12 @@ using TrafficLowering =
 /// "6 cm", "10 cm", "14 cm".
 [[nodiscard]] Registry<link::MwsrParams>& link_registry();
 
-/// Named cell evaluators.  Built-ins: "link" (analytic) and the
-/// simulator evaluator explore::evaluate_network_cell under two names,
-/// "noc" and "network".  The spec value "auto" is not an entry — see
-/// cell_evaluator() in run.hpp.
-[[nodiscard]] Registry<explore::SweepRunner::Evaluator>&
-evaluator_registry();
+/// Named cell evaluators, as the flag they lower onto the grid
+/// (explore::ScenarioGrid::simulator): "link" (false — the analytic
+/// lowered plan) and the simulator under two names, "noc" and "network"
+/// (true — explore::evaluate_network_cell).  The spec value "auto" is
+/// not an entry: it leaves the routing to the grid's axes.
+[[nodiscard]] Registry<bool>& evaluator_registry();
 
 /// Traffic kinds.  Built-ins: "uniform", "hotspot", "trace" (schema
 /// v3: replays a noc::TraceTraffic message file).

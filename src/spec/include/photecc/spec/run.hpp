@@ -1,13 +1,14 @@
 // Lowering: ExperimentSpec -> the existing explore engine.  The spec
 // layer adds no execution machinery of its own — run() validates,
-// resolves every registry name, materialises the ScenarioGrid and hands
-// it to SweepRunner (or its lowered link plan), so a spec-driven sweep
-// is byte-identical to the hand-assembled grid it replaces (for any
-// thread count, by the engine's slot-indexed determinism).
+// resolves every registry name (the evaluator name included: it becomes
+// the grid's simulator flag, so ScenarioGrid::runs_simulator stays the
+// one routing decision), materialises the ScenarioGrid and hands it to
+// SweepRunner, so a spec-driven sweep is byte-identical to the
+// hand-assembled grid it replaces (for any thread count, by the
+// engine's slot-indexed determinism).
 #ifndef PHOTECC_SPEC_RUN_HPP
 #define PHOTECC_SPEC_RUN_HPP
 
-#include <optional>
 #include <vector>
 
 #include "photecc/explore/grid.hpp"
@@ -25,18 +26,8 @@ namespace photecc::spec {
 [[nodiscard]] std::vector<explore::Objective> lower_objectives(
     const ExperimentSpec& spec);
 
-/// The per-cell evaluator `spec` runs on `grid` (= lower(spec)), or
-/// nullopt when its cells run on the lowered link plan.  "auto" and
-/// "link" take the plan (byte-identical to evaluate_link_cell) unless
-/// the grid runs the simulator (explore::ScenarioGrid::runs_simulator);
-/// "auto" on such a grid is the "network" evaluator, and every other
-/// name resolves through evaluator_registry().  run() and the serve
-/// daemon both route through this one decision.
-[[nodiscard]] std::optional<explore::SweepRunner::Evaluator> cell_evaluator(
-    const ExperimentSpec& spec, const explore::ScenarioGrid& grid);
-
 /// Validate, lower and execute: SweepRunner{{spec.threads}} over
-/// lower(spec) with cell_evaluator(), or the lowered plan.
+/// lower(spec).
 [[nodiscard]] explore::ExperimentResult run(const ExperimentSpec& spec);
 
 }  // namespace photecc::spec

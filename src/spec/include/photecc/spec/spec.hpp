@@ -209,15 +209,17 @@ struct ExperimentSpec {
 
 /// Semantic validation shared by from_json, SpecBuilder::build and
 /// run(): every name resolves in its registry, every number is in
-/// range.  Throws SpecError naming the offending field.
+/// range, an explicit "link" evaluator declares no network section or
+/// NoC axis, and every objective names a metric column of the grid the
+/// spec lowers to (explore::result_schema).  Throws SpecError naming
+/// the offending field.
 void validate(const ExperimentSpec& spec);
 
 /// The evaluator name the spec runs with: its own unless "auto", which
 /// resolves to "network" when the spec declares a network section or a
 /// NoC axis (traffic, laser gating, policies) and to "link" otherwise —
 /// the spec-side mirror of explore::ScenarioGrid::runs_simulator on
-/// lower(spec), which a test keeps in agreement.  Objective validation
-/// reads the metric vocabulary from it.
+/// lower(spec), which a test keeps in agreement.
 [[nodiscard]] std::string resolved_evaluator(const ExperimentSpec& spec);
 
 }  // namespace photecc::spec

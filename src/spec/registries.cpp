@@ -42,18 +42,14 @@ Registry<link::MwsrParams>& link_registry() {
   return *registry;
 }
 
-Registry<explore::SweepRunner::Evaluator>& evaluator_registry() {
-  static Registry<explore::SweepRunner::Evaluator>* registry = [] {
-    auto* r = new Registry<explore::SweepRunner::Evaluator>("evaluator");
-    r->add("link", [] {
-      return explore::SweepRunner::Evaluator{explore::evaluate_link_cell};
-    });
-    // "noc" and "network" name the one simulator evaluator; both stay
-    // registered so existing documents keep resolving.
+Registry<bool>& evaluator_registry() {
+  static Registry<bool>* registry = [] {
+    auto* r = new Registry<bool>("evaluator");
+    r->add("link", [] { return false; });
+    // "noc" and "network" name the one simulator; both stay registered
+    // so existing documents keep resolving.
     for (const char* name : {"noc", "network"})
-      r->add(name, [] {
-        return explore::SweepRunner::Evaluator{explore::evaluate_network_cell};
-      });
+      r->add(name, [] { return true; });
     return r;
   }();
   return *registry;

@@ -2,18 +2,21 @@
 
 #include <utility>
 
+#include "lowering.hpp"
 #include "photecc/explore/runner.hpp"
 #include "photecc/spec/registries.hpp"
 
 namespace photecc::spec {
 
-explore::ScenarioGrid lower(const ExperimentSpec& spec) {
-  validate(spec);
-
+explore::ScenarioGrid detail::lower_unchecked(const ExperimentSpec& spec) {
   explore::ScenarioGrid grid;
   grid.base_link(link_registry().make(spec.base_link, "base.link"));
   grid.base_seed(spec.seed);
   grid.noc_horizon(spec.noc_horizon_s);
+  // The evaluator name becomes the grid's routing flag; "auto" leaves
+  // the decision to the declared axes and network section.
+  if (spec.evaluator != "auto")
+    grid.simulator(evaluator_registry().make(spec.evaluator, "evaluator"));
 
   if (!spec.codes.empty()) grid.codes(spec.codes);
   if (!spec.ber_targets.empty()) grid.ber_targets(spec.ber_targets);
@@ -101,6 +104,11 @@ explore::ScenarioGrid lower(const ExperimentSpec& spec) {
   return grid;
 }
 
+explore::ScenarioGrid lower(const ExperimentSpec& spec) {
+  validate(spec);
+  return detail::lower_unchecked(spec);
+}
+
 std::vector<explore::Objective> lower_objectives(const ExperimentSpec& spec) {
   std::vector<explore::Objective> objectives;
   objectives.reserve(spec.objectives.size());
@@ -109,20 +117,8 @@ std::vector<explore::Objective> lower_objectives(const ExperimentSpec& spec) {
   return objectives;
 }
 
-std::optional<explore::SweepRunner::Evaluator> cell_evaluator(
-    const ExperimentSpec& spec, const explore::ScenarioGrid& grid) {
-  const bool link = spec.evaluator == "auto" || spec.evaluator == "link";
-  if (link && !grid.runs_simulator()) return std::nullopt;
-  return evaluator_registry().make(
-      spec.evaluator == "auto" ? "network" : spec.evaluator, "evaluator");
-}
-
 explore::ExperimentResult run(const ExperimentSpec& spec) {
-  const explore::ScenarioGrid grid = lower(spec);
-  const explore::SweepRunner runner{{spec.threads}};
-  if (const auto evaluator = cell_evaluator(spec, grid))
-    return runner.run(grid, *evaluator);
-  return runner.run(grid);
+  return explore::SweepRunner{{spec.threads}}.run(lower(spec));
 }
 
 }  // namespace photecc::spec

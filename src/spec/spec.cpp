@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "lowering.hpp"
 #include "photecc/cooling/cooling_code.hpp"
 #include "photecc/ecc/registry.hpp"
 #include "photecc/explore/evaluators.hpp"
@@ -771,40 +772,18 @@ std::size_t min_oni_count(const ExperimentSpec& spec) {
   return min_oni;
 }
 
-/// Metric names an objective may reference, given the evaluator the
-/// spec will actually use — nullopt for custom registered evaluators
-/// (their metric sets are unknown here).  The simulation evaluators'
-/// vocabulary grows with the spec: the closed-loop environment columns
-/// when any timeline is declared, and the per-channel "ch<k>_<metric>"
-/// columns of a network section.
-std::optional<std::vector<std::string>> known_objective_metrics(
-    const ExperimentSpec& spec) {
-  const std::string evaluator = resolved_evaluator(spec);
-  if (evaluator == "link") return explore::link_cell_metric_names();
-  if (evaluator != "noc" && evaluator != "network") return std::nullopt;
-  std::vector<std::string> metrics = explore::noc_cell_metric_names();
-  const bool has_environment =
-      !spec.environments.empty() ||
-      (spec.network && !spec.network->channel_environments.empty());
-  if (has_environment)
-    for (const std::string& name : explore::noc_env_metric_names())
-      metrics.push_back(name);
-  if (spec.network) {
-    for (std::size_t ch = 0; ch < spec.network->channel_count; ++ch)
-      for (const std::string& name : explore::network_channel_metric_names())
-        metrics.push_back("ch" + std::to_string(ch) + "_" + name);
-  }
-  return metrics;
+/// True when the spec declares what only the simulator can run: a
+/// network section or a NoC axis (traffic, laser gating, policies).
+bool needs_simulator(const ExperimentSpec& spec) {
+  return spec.network || !spec.traffic.empty() ||
+         !spec.laser_gating.empty() || !spec.policies.empty();
 }
 
 }  // namespace
 
 std::string resolved_evaluator(const ExperimentSpec& spec) {
   if (spec.evaluator != "auto") return spec.evaluator;
-  const bool runs_simulator = spec.network || !spec.traffic.empty() ||
-                              !spec.laser_gating.empty() ||
-                              !spec.policies.empty();
-  return runs_simulator ? "network" : "link";
+  return needs_simulator(spec) ? "network" : "link";
 }
 
 void validate(const ExperimentSpec& spec) {
@@ -820,6 +799,14 @@ void validate(const ExperimentSpec& spec) {
     throw SpecError("evaluator", "unknown evaluator '" + spec.evaluator +
                                      "' (known: " + known + ")");
   }
+  if (spec.evaluator != "auto" &&
+      !evaluator_registry().make(spec.evaluator, "evaluator") &&
+      needs_simulator(spec))
+    throw SpecError("evaluator",
+                    "evaluator '" + spec.evaluator +
+                        "' cannot run a network section or the NoC axes "
+                        "(traffic, laser_gating, policies); use auto, noc "
+                        "or network");
 
   (void)link_registry().make(spec.base_link, "base.link");
   check_finite_positive(spec.noc_horizon_s, "base.noc_horizon_s");
@@ -983,18 +970,20 @@ void validate(const ExperimentSpec& spec) {
     }
   }
 
-  const std::optional<std::vector<std::string>> known_metrics =
-      known_objective_metrics(spec);
+  // Objectives may name any metric column of the grid the spec lowers
+  // to — the same schema the exports are written in.
+  if (spec.objectives.empty()) return;
+  const std::vector<std::string> known_metrics =
+      explore::result_schema(detail::lower_unchecked(spec)).metrics;
   for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
     const std::string& metric = spec.objectives[i].metric;
     const std::string metric_path =
         element_path("objectives", i) + ".metric";
     if (metric.empty()) throw SpecError(metric_path, "must not be empty");
-    if (known_metrics &&
-        std::find(known_metrics->begin(), known_metrics->end(), metric) ==
-            known_metrics->end()) {
+    if (std::find(known_metrics.begin(), known_metrics.end(), metric) ==
+        known_metrics.end()) {
       std::string known;
-      for (const std::string& name : *known_metrics) {
+      for (const std::string& name : known_metrics) {
         if (!known.empty()) known += ", ";
         known += name;
       }

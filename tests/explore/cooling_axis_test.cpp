@@ -77,19 +77,17 @@ TEST(CoolingAxis, MetricColumnsAppearOnlyWithTheAxis) {
       .cooling_weights({0, 3})
       .ber_targets({1e-11})
       .base_link(hot_link());
-  const CellResult off = evaluate_link_cell(with_axis.at(0));
-  const CellResult on = evaluate_link_cell(with_axis.at(1));
-  ASSERT_TRUE(off.metric("duty_bound").has_value());
-  ASSERT_TRUE(on.metric("duty_bound").has_value());
-  EXPECT_DOUBLE_EQ(*off.metric("duty_bound"), 1.0);
-  EXPECT_LT(*on.metric("duty_bound"), 1.0);
-  EXPECT_TRUE(on.metric("thermal_headroom_w").has_value());
+  ResultTable cells(result_schema(with_axis), with_axis.size(), true);
+  evaluate_link_cell(with_axis.at(0), cells);
+  evaluate_link_cell(with_axis.at(1), cells);
+  ASSERT_TRUE(cells.metric(0, "duty_bound").has_value());
+  EXPECT_DOUBLE_EQ(*cells.metric(0, "duty_bound"), 1.0);
+  EXPECT_LT(*cells.metric(1, "duty_bound"), 1.0);
+  EXPECT_TRUE(cells.metric(1, "thermal_headroom_w").has_value());
 
   ScenarioGrid without_axis;
   without_axis.codes({"BCH(15,7,2)"}).ber_targets({1e-11});
-  const CellResult plain = evaluate_link_cell(without_axis.at(0));
-  EXPECT_FALSE(plain.metric("duty_bound").has_value());
-  EXPECT_FALSE(plain.metric("thermal_headroom_w").has_value());
+  EXPECT_EQ(result_schema(without_axis).metrics, link_cell_metric_names());
 }
 
 TEST(CoolingAxis, PlanMatchesLegacyByteForByte) {
@@ -99,9 +97,10 @@ TEST(CoolingAxis, PlanMatchesLegacyByteForByte) {
       .ber_targets({1e-9, 1e-11})
       .base_link(hot_link());
 
-  const SweepRunner sequential{{1}};
-  const ExperimentResult legacy =
-      sequential.run(grid, SweepRunner::Evaluator{evaluate_link_cell});
+  ExperimentResult legacy;
+  legacy.cells = ResultTable(result_schema(grid), grid.size(), true);
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    evaluate_link_cell(grid.at(i), legacy.cells);
   const ExperimentResult plan1 = LoweredPlan{grid}.execute(1);
   const ExperimentResult plan4 = LoweredPlan{grid}.execute(4);
   EXPECT_EQ(legacy.csv(), plan1.csv());
@@ -111,7 +110,7 @@ TEST(CoolingAxis, PlanMatchesLegacyByteForByte) {
 
   // The auto-routed runner takes the plan path for this grid and lands
   // on the same bytes.
-  const ExperimentResult routed = sequential.run(grid);
+  const ExperimentResult routed = SweepRunner{{1}}.run(grid);
   EXPECT_TRUE(routed.stats.has_value());
   EXPECT_EQ(routed.csv(), legacy.csv());
 }

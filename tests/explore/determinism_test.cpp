@@ -1,6 +1,8 @@
 // The engine's central promise: results are a pure function of the grid
 // and the base seed — independent of thread count and evaluation order —
 // and the NoC simulator underneath is a pure function of its seed.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "photecc/core/tradeoff.hpp"
@@ -112,8 +114,10 @@ TEST(SweepDeterminism, OokCellsAreUnchangedByTheModulationAxis) {
   const auto b = SweepRunner{{1}}.run(with_axis);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].metrics, b.cells[i].metrics) << "cell " << i;
-    EXPECT_EQ(a.cells[i].feasible, b.cells[i].feasible);
+    EXPECT_TRUE(std::ranges::equal(a.cells.metric_row(i),
+                                   b.cells.metric_row(i)))
+        << "cell " << i;
+    EXPECT_EQ(a.cells.feasible(i), b.cells.feasible(i));
   }
 }
 
@@ -140,11 +144,10 @@ TEST(EngineBridge, Fig6bFrontMatchesCoreSweepTradeoff) {
       core::sweep_tradeoff(channel, ecc::paper_schemes(), bers);
   ASSERT_EQ(engine.cells.size(), reference.points.size());
   for (std::size_t i = 0; i < reference.points.size(); ++i) {
-    ASSERT_TRUE(engine.cells[i].scheme.has_value());
-    EXPECT_EQ(engine.cells[i].scheme->scheme, reference.points[i].scheme);
-    EXPECT_EQ(engine.cells[i].scheme->p_channel_w,
+    EXPECT_EQ(engine.cells.scheme(i).scheme, reference.points[i].scheme);
+    EXPECT_EQ(engine.cells.scheme(i).p_channel_w,
               reference.points[i].p_channel_w);
-    EXPECT_EQ(engine.cells[i].scheme->ct, reference.points[i].ct);
+    EXPECT_EQ(engine.cells.scheme(i).ct, reference.points[i].ct);
   }
 
   const auto engine_front =
@@ -152,7 +155,7 @@ TEST(EngineBridge, Fig6bFrontMatchesCoreSweepTradeoff) {
   const auto reference_front = reference.pareto_front();
   ASSERT_EQ(engine_front.size(), reference_front.size());
   for (std::size_t i = 0; i < engine_front.size(); ++i) {
-    EXPECT_EQ(engine.cells[engine_front[i]].scheme->scheme,
+    EXPECT_EQ(engine.cells.scheme(engine_front[i]).scheme,
               reference.points[reference_front[i]].scheme);
   }
 }

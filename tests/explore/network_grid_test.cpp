@@ -27,18 +27,19 @@ TEST(NetworkGrid, PublishesAggregateAndPerChannelColumns) {
       .noc_horizon(2e-6);
   const auto result = SweepRunner{{1}}.run(grid);
   ASSERT_EQ(result.cells.size(), 1u);
-  const CellResult& cell = result.cells[0];
-  EXPECT_TRUE(cell.feasible);
+  const ResultTable& cells = result.cells;
+  EXPECT_TRUE(cells.feasible(0));
   for (const auto& name : noc_cell_metric_names())
-    EXPECT_TRUE(cell.metric(name).has_value()) << name;
+    EXPECT_TRUE(cells.metric(0, name).has_value()) << name;
   double delivered_sum = 0.0;
   for (std::size_t ch = 0; ch < 2; ++ch) {
     const std::string prefix = "ch" + std::to_string(ch) + "_";
     for (const auto& name : network_channel_metric_names())
-      EXPECT_TRUE(cell.metric(prefix + name).has_value()) << prefix + name;
-    delivered_sum += *cell.metric(prefix + "delivered");
+      EXPECT_TRUE(cells.metric(0, prefix + name).has_value())
+          << prefix + name;
+    delivered_sum += *cells.metric(0, prefix + "delivered");
   }
-  EXPECT_EQ(delivered_sum, *cell.metric("delivered"));
+  EXPECT_EQ(delivered_sum, *cells.metric(0, "delivered"));
 }
 
 TEST(NetworkGrid, PerChannelEnvironmentsAndCodesFeedTheSimulator) {
@@ -56,12 +57,11 @@ TEST(NetworkGrid, PerChannelEnvironmentsAndCodesFeedTheSimulator) {
       .noc_horizon(6e-6);
   const auto result = SweepRunner{{1}}.run(grid);
   ASSERT_EQ(result.cells.size(), 1u);
-  const CellResult& cell = result.cells[0];
   // Environment columns appear because channels declare timelines.
   for (const auto& name : noc_env_metric_names())
-    EXPECT_TRUE(cell.metric(name).has_value()) << name;
+    EXPECT_TRUE(result.cells.metric(0, name).has_value()) << name;
   // The hot channel is pinned to H(7,4), which survives the ramp.
-  EXPECT_GT(*cell.metric("ch0_delivered"), 0.0);
+  EXPECT_GT(*result.cells.metric(0, "ch0_delivered"), 0.0);
 }
 
 TEST(NetworkGrid, ExportsAreThreadCountInvariant) {
@@ -87,18 +87,20 @@ TEST(NetworkGrid, EvaluatorFallsBackWithoutANetworkSpec) {
   grid.traffic_patterns({uniform_traffic(2e8)})
       .laser_gating({true, false})
       .noc_horizon(1e-6);
-  for (Scenario scenario : grid) {
-    ASSERT_EQ(scenario.link.oni_count, 12u);
-    const CellResult fallback = evaluate_network_cell(scenario);
-    scenario.network = paper;
-    const CellResult explicit_network = evaluate_network_cell(scenario);
-    const auto aggregate_end = std::find_if(
-        explicit_network.metrics.begin(), explicit_network.metrics.end(),
-        [](const auto& metric) { return metric.first.rfind("ch", 0) == 0; });
-    EXPECT_EQ(fallback.metrics,
-              decltype(fallback.metrics)(explicit_network.metrics.begin(),
-                                         aggregate_end));
-    EXPECT_EQ(fallback.feasible, explicit_network.feasible);
+  ScenarioGrid explicit_grid = grid;
+  explicit_grid.network(paper);
+  ResultTable fallback(result_schema(grid), grid.size());
+  ResultTable explicit_network(result_schema(explicit_grid), grid.size());
+  const std::size_t aggregate = noc_cell_metric_names().size();
+  ASSERT_EQ(fallback.schema().metrics.size(), aggregate);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_EQ(grid.at(i).link.oni_count, 12u);
+    evaluate_network_cell(grid.at(i), fallback);
+    evaluate_network_cell(explicit_grid.at(i), explicit_network);
+    EXPECT_TRUE(std::ranges::equal(
+        fallback.metric_row(i),
+        explicit_network.metric_row(i).first(aggregate)));
+    EXPECT_EQ(fallback.feasible(i), explicit_network.feasible(i));
   }
 }
 
@@ -110,9 +112,9 @@ TEST(NetworkGrid, TraceTrafficDrivesNetworkCells) {
       .noc_horizon(5e-6);
   const auto result = SweepRunner{{1}}.run(grid);
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].feasible);
-  EXPECT_GT(*result.cells[0].metric("delivered"), 0.0);
-  const auto label = result.cells[0].label("traffic");
+  EXPECT_TRUE(result.cells.feasible(0));
+  EXPECT_GT(*result.cells.metric(0, "delivered"), 0.0);
+  const auto label = result.cells.label(0, "traffic");
   ASSERT_TRUE(label.has_value());
   EXPECT_EQ(label->rfind("trace@", 0), 0u);
 }

@@ -3,7 +3,6 @@
 // when its callback runs, and the assembled result is byte-identical to
 // the one-shot execute.
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,10 +15,9 @@
 
 namespace {
 
-using photecc::explore::CellResult;
 using photecc::explore::ExperimentResult;
 using photecc::explore::LoweredPlan;
-using photecc::explore::write_cell_json;
+using photecc::explore::ResultTable;
 
 /// A link-only grid with enough cells (3 codes x 4 BERs x 2 ONI counts
 /// = 24) to span several small blocks.
@@ -29,10 +27,10 @@ photecc::explore::ScenarioGrid streaming_grid() {
   return photecc::spec::lower(spec);
 }
 
-std::string cell_json(const CellResult& cell) {
-  std::ostringstream os;
-  write_cell_json(os, cell);
-  return os.str();
+std::string cell_json(const ResultTable& cells, std::size_t row) {
+  std::string out;
+  cells.append_cell_json(out, row);
+  return out;
 }
 
 TEST(PlanStream, BlocksArriveInOrderAndComplete) {
@@ -42,10 +40,10 @@ TEST(PlanStream, BlocksArriveInOrderAndComplete) {
     std::vector<std::string> streamed;
     const ExperimentResult result = plan.execute(
         threads, [&](std::size_t begin, std::size_t end,
-                     const std::vector<CellResult>& cells) {
+                     const ResultTable& cells) {
           blocks.emplace_back(begin, end);
           for (std::size_t i = begin; i < end; ++i)
-            streamed.push_back(cell_json(cells[i]));
+            streamed.push_back(cell_json(cells, i));
         });
 
     // The fixed partition of parallel_for_blocks: [0,5), [5,10), ...
@@ -60,7 +58,7 @@ TEST(PlanStream, BlocksArriveInOrderAndComplete) {
     // matches the assembled result's, cell for cell.
     ASSERT_EQ(streamed.size(), result.cells.size()) << threads;
     for (std::size_t i = 0; i < streamed.size(); ++i)
-      EXPECT_EQ(streamed[i], cell_json(result.cells[i])) << threads;
+      EXPECT_EQ(streamed[i], cell_json(result.cells, i)) << threads;
   }
 }
 
@@ -71,7 +69,7 @@ TEST(PlanStream, AssembledResultMatchesOneShotByteForByte) {
     std::size_t calls = 0;
     const ExperimentResult streamed = plan.execute(
         threads,
-        [&](std::size_t, std::size_t, const std::vector<CellResult>&) {
+        [&](std::size_t, std::size_t, const ResultTable&) {
           ++calls;
         });
     EXPECT_EQ(streamed.json(), reference) << threads;

@@ -15,11 +15,24 @@
 namespace photecc::explore {
 namespace {
 
-/// Legacy reference: per-cell evaluate_link_cell, sequential.
+/// Legacy reference: per-cell evaluate_link_cell, sequential.  Also
+/// checks that the table's labels are the Scenario's, cell for cell.
 ExperimentResult legacy(const ScenarioGrid& grid) {
-  const SweepRunner runner{{1}};
-  return runner.run(grid,
-                    SweepRunner::Evaluator{evaluate_link_cell});
+  ExperimentResult result;
+  result.cells = ResultTable(result_schema(grid), grid.size(), true);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const Scenario scenario = grid.at(i);
+    evaluate_link_cell(scenario, result.cells);
+    const auto& axes = result.cells.schema().axes;
+    EXPECT_EQ(scenario.labels.size(), axes.size()) << "cell " << i;
+    for (std::size_t a = 0; a < axes.size() && a < scenario.labels.size();
+         ++a) {
+      EXPECT_EQ(scenario.labels[a].first, axes[a].name) << "cell " << i;
+      EXPECT_EQ(scenario.labels[a].second, result.cells.label(i, a))
+          << "cell " << i;
+    }
+  }
+  return result;
 }
 
 void expect_plan_matches_legacy(const ScenarioGrid& grid,
@@ -81,7 +94,7 @@ TEST(LoweredPlan, AxislessGridEvaluatesTheSingleBaseCell) {
   const LoweredPlan plan{grid};
   const auto result = plan.execute(1);
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].labels.empty());
+  EXPECT_TRUE(result.cells.schema().axes.empty());
 }
 
 TEST(LoweredPlan, BlockSizeNeverChangesTheBytes) {
@@ -137,7 +150,7 @@ TEST(SweepRunner, NocGridsStillRunTheSimulatorEvaluator) {
   const auto result = runner.run(grid);
   EXPECT_FALSE(result.stats.has_value());
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].metric("delivered").has_value());
+  EXPECT_TRUE(result.cells.metric(0, "delivered").has_value());
 }
 
 }  // namespace

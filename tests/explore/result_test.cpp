@@ -11,66 +11,93 @@ namespace {
 
 const std::vector<Objective> kMinBoth{{"x", true}, {"y", true}};
 
-CellResult cell(std::size_t index, bool feasible, double x, double y) {
-  CellResult c;
-  c.index = index;
-  c.feasible = feasible;
-  c.set_metric("x", x);
-  c.set_metric("y", y);
-  return c;
+/// A table over metrics {x, y} (no axes) with one (feasible, x, y) row
+/// per entry.
+struct Point {
+  bool feasible;
+  double x;
+  double y;
+};
+ResultTable table(const std::vector<Point>& points) {
+  ResultTable t({{}, {"x", "y"}}, points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    t.set_feasible(i, points[i].feasible);
+    t.metric_row(i)[0] = points[i].x;
+    t.metric_row(i)[1] = points[i].y;
+  }
+  return t;
 }
 
-TEST(CellResult, SetMetricOverwritesInPlace) {
-  CellResult c;
-  c.set_metric("a", 1.0);
-  c.set_metric("b", 2.0);
-  c.set_metric("a", 3.0);
-  ASSERT_EQ(c.metrics.size(), 2u);
-  EXPECT_DOUBLE_EQ(*c.metric("a"), 3.0);
-  EXPECT_FALSE(c.metric("missing").has_value());
+TEST(ResultTable, RowsAreFilledByColumn) {
+  ResultTable t({{}, {"a", "b"}}, 2);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_FALSE(t.feasible(1));
+  t.metric_row(1)[1] = 3.0;
+  t.set_feasible(1, true);
+  EXPECT_TRUE(t.feasible(1));
+  EXPECT_DOUBLE_EQ(*t.metric(1, "b"), 3.0);
+  EXPECT_DOUBLE_EQ(*t.metric(0, "b"), 0.0);
+  EXPECT_FALSE(t.metric(1, "missing").has_value());
+  EXPECT_EQ(t.schema().metric_column("b"), std::make_optional<std::size_t>(1));
+}
+
+TEST(ResultTable, LabelsAreTheMixedRadixDigitsOfTheRow) {
+  // Axis 0 varies fastest, like ScenarioGrid::at.
+  const ResultTable t(
+      {{{"code", {"A", "B"}}, {"target_ber", {"1e-6", "1e-8", "1e-9"}}},
+       {"x"}},
+      6);
+  EXPECT_EQ(t.label(0, 0), "A");
+  EXPECT_EQ(t.label(1, 0), "B");
+  EXPECT_EQ(t.label(1, 1), "1e-6");
+  EXPECT_EQ(t.label(2, 1), "1e-8");
+  EXPECT_EQ(t.label(5, 0), "B");
+  EXPECT_EQ(t.label(5, 1), "1e-9");
+  EXPECT_EQ(t.label(4, "target_ber"), std::make_optional<std::string>("1e-9"));
+  EXPECT_FALSE(t.label(4, "policy").has_value());
 }
 
 TEST(GenericPareto, MatchesTheTwoObjectiveCoreSemantics) {
-  const auto a = cell(0, true, 1.0, 10.0);
-  const auto b = cell(1, true, 1.0, 8.0);
-  EXPECT_TRUE(is_dominated(a, b, kMinBoth));   // b no worse, strictly better y
-  EXPECT_FALSE(is_dominated(b, a, kMinBoth));
-  const auto c = cell(2, true, 1.5, 8.0);
-  EXPECT_FALSE(is_dominated(a, c, kMinBoth));  // trade-off: neither wins
-  EXPECT_FALSE(is_dominated(c, a, kMinBoth));
+  // b no worse, strictly better y: a is dominated.
+  EXPECT_EQ(table({{true, 1.0, 10.0}, {true, 1.0, 8.0}}).pareto_front(kMinBoth),
+            (std::vector<std::size_t>{1}));
+  // Trade-off: neither wins.
+  EXPECT_EQ(table({{true, 1.0, 10.0}, {true, 1.5, 8.0}}).pareto_front(kMinBoth),
+            (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(GenericPareto, EmptyCellSetGivesEmptyFront) {
-  EXPECT_TRUE(pareto_front_indices({}, kMinBoth).empty());
+  EXPECT_TRUE(table({}).pareto_front(kMinBoth).empty());
 }
 
 TEST(GenericPareto, AllInfeasibleGivesEmptyFront) {
-  const std::vector<CellResult> cells{cell(0, false, 1.0, 1.0),
-                                      cell(1, false, 2.0, 2.0)};
-  EXPECT_TRUE(pareto_front_indices(cells, kMinBoth).empty());
+  EXPECT_TRUE(table({{false, 1.0, 1.0}, {false, 2.0, 2.0}})
+                  .pareto_front(kMinBoth)
+                  .empty());
 }
 
 TEST(GenericPareto, DuplicatePointsAllStayOnTheFront) {
-  const std::vector<CellResult> cells{cell(0, true, 1.0, 1.0),
-                                      cell(1, true, 1.0, 1.0)};
-  EXPECT_EQ(pareto_front_indices(cells, kMinBoth).size(), 2u);
+  EXPECT_EQ(table({{true, 1.0, 1.0}, {true, 1.0, 1.0}})
+                .pareto_front(kMinBoth)
+                .size(),
+            2u);
 }
 
 TEST(GenericPareto, SingleFeasiblePointIsTheFront) {
-  const std::vector<CellResult> cells{cell(0, false, 0.0, 0.0),
-                                      cell(1, true, 5.0, 5.0)};
-  const auto front = pareto_front_indices(cells, kMinBoth);
+  const auto front =
+      table({{false, 0.0, 0.0}, {true, 5.0, 5.0}}).pareto_front(kMinBoth);
   ASSERT_EQ(front.size(), 1u);
   EXPECT_EQ(front[0], 1u);
 }
 
 TEST(GenericPareto, MissingObjectiveMetricCountsAsInfeasible) {
-  CellResult incomplete;
-  incomplete.index = 0;
-  incomplete.feasible = true;
-  incomplete.set_metric("x", 1.0);  // no "y"
-  const std::vector<CellResult> cells{incomplete, cell(1, true, 9.0, 9.0)};
-  const auto front = pareto_front_indices(cells, kMinBoth);
+  // Every cell lacks "z", so none can be ranked on it; a non-finite
+  // objective value keeps a single cell off the front.
+  const ResultTable t =
+      table({{true, 1.0, std::numeric_limits<double>::quiet_NaN()},
+             {true, 9.0, 9.0}});
+  EXPECT_TRUE(t.pareto_front({{"x", true}, {"z", true}}).empty());
+  const auto front = t.pareto_front(kMinBoth);
   ASSERT_EQ(front.size(), 1u);
   EXPECT_EQ(front[0], 1u);
 }
@@ -78,32 +105,28 @@ TEST(GenericPareto, MissingObjectiveMetricCountsAsInfeasible) {
 TEST(GenericPareto, MaximizeObjectiveFlipsTheComparison) {
   // Higher y is better: (1, 10) now dominates (1, 8).
   const std::vector<Objective> min_x_max_y{{"x", true}, {"y", false}};
-  const auto low = cell(0, true, 1.0, 8.0);
-  const auto high = cell(1, true, 1.0, 10.0);
-  EXPECT_TRUE(is_dominated(low, high, min_x_max_y));
-  EXPECT_FALSE(is_dominated(high, low, min_x_max_y));
+  EXPECT_EQ(table({{true, 1.0, 8.0}, {true, 1.0, 10.0}})
+                .pareto_front(min_x_max_y),
+            (std::vector<std::size_t>{1}));
 }
 
 TEST(GenericPareto, ThreeObjectivesKeepIncomparableTradeoffs) {
   const std::vector<Objective> objectives{
       {"x", true}, {"y", true}, {"z", true}};
-  auto with_z = [](CellResult c, double z) {
-    c.set_metric("z", z);
-    return c;
-  };
   // Each point is best in one dimension: all three on the front.
-  const std::vector<CellResult> cells{
-      with_z(cell(0, true, 1.0, 5.0), 5.0),
-      with_z(cell(1, true, 5.0, 1.0), 5.0),
-      with_z(cell(2, true, 5.0, 5.0), 1.0)};
-  EXPECT_EQ(pareto_front_indices(cells, objectives).size(), 3u);
+  ResultTable t({{}, {"x", "y", "z"}}, 3);
+  const double values[3][3] = {{1, 5, 5}, {5, 1, 5}, {5, 5, 1}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    t.set_feasible(i, true);
+    for (std::size_t k = 0; k < 3; ++k) t.metric_row(i)[k] = values[i][k];
+  }
+  EXPECT_EQ(t.pareto_front(objectives).size(), 3u);
 }
 
 TEST(GenericPareto, FrontIsSortedByTheFirstObjective) {
-  const std::vector<CellResult> cells{cell(0, true, 3.0, 1.0),
-                                      cell(1, true, 1.0, 3.0),
-                                      cell(2, true, 2.0, 2.0)};
-  const auto front = pareto_front_indices(cells, kMinBoth);
+  const auto front =
+      table({{true, 3.0, 1.0}, {true, 1.0, 3.0}, {true, 2.0, 2.0}})
+          .pareto_front(kMinBoth);
   ASSERT_EQ(front.size(), 3u);
   EXPECT_EQ(front[0], 1u);
   EXPECT_EQ(front[1], 2u);
@@ -112,62 +135,48 @@ TEST(GenericPareto, FrontIsSortedByTheFirstObjective) {
 
 TEST(Export, CsvQuotesLabelsWithCommas) {
   ExperimentResult result;
-  CellResult c = cell(0, true, 1.5, 2.5);
-  c.labels.emplace_back("code", "BCH(15,7,2)");
-  result.cells.push_back(c);
+  result.cells = ResultTable({{{"code", {"BCH(15,7,2)"}}}, {"x", "y"}}, 1);
+  result.cells.set_feasible(0, true);
+  result.cells.metric_row(0)[0] = 1.5;
+  result.cells.metric_row(0)[1] = 2.5;
   const std::string csv = result.csv();
-  EXPECT_NE(csv.find("\"BCH(15,7,2)\""), std::string::npos);
-  EXPECT_NE(csv.find("index,code,feasible,x,y"), std::string::npos);
-  EXPECT_NE(csv.find("0,\"BCH(15,7,2)\",1,1.5,2.5"), std::string::npos);
+  EXPECT_EQ(csv, "index,code,feasible,x,y\n0,\"BCH(15,7,2)\",1,1.5,2.5\n");
 }
 
 TEST(Export, JsonSerialisesLabelsAndMetrics) {
   ExperimentResult result;
-  CellResult c = cell(7, true, 1.5, 2.5);
-  c.labels.emplace_back("policy", "min-energy");
-  result.cells.push_back(c);
+  result.cells =
+      ResultTable({{{"policy", {"min-time", "min-energy"}}}, {"x", "y"}}, 2);
+  result.cells.set_feasible(1, true);
+  result.cells.metric_row(1)[0] = 1.5;
   const std::string json = result.json();
-  EXPECT_NE(json.find("\"index\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"policy\":\"min-energy\""), std::string::npos);
-  EXPECT_NE(json.find("\"x\":1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"feasible\":true"), std::string::npos);
+  EXPECT_NE(json.find("{\"index\":1,\"labels\":{\"policy\":\"min-energy\"},"
+                      "\"feasible\":true,\"metrics\":{\"x\":1.5,\"y\":0}}"),
+            std::string::npos);
+  EXPECT_EQ(json.rfind("{\"cells\":[\n  {\"index\":0,", 0), 0u);
+  EXPECT_EQ(json.substr(json.size() - 4), "\n]}\n");
 }
 
 TEST(Export, NonFiniteMetricsBecomeJsonNull) {
   ExperimentResult result;
-  CellResult c;
-  c.feasible = false;
-  c.set_metric("x", std::numeric_limits<double>::infinity());
-  result.cells.push_back(c);
+  result.cells = ResultTable({{}, {"x"}}, 1);
+  result.cells.metric_row(0)[0] = std::numeric_limits<double>::infinity();
   EXPECT_NE(result.json().find("\"x\":null"), std::string::npos);
-}
-
-TEST(Export, MissingMetricIsAnEmptyCsvField) {
-  ExperimentResult result;
-  CellResult a = cell(0, true, 1.0, 2.0);
-  CellResult b;
-  b.index = 1;
-  b.feasible = true;
-  b.set_metric("x", 3.0);  // no "y"
-  result.cells = {a, b};
-  EXPECT_NE(result.csv().find("1,1,3,\n"), std::string::npos);
+  EXPECT_NE(result.csv().find("0,0,inf\n"), std::string::npos);
 }
 
 TEST(Bridge, ToTradeoffSweepKeepsSchemeMetricsOrder) {
   ExperimentResult result;
+  result.cells = ResultTable({}, 3, /*with_schemes=*/true);
   for (int i = 0; i < 3; ++i) {
-    CellResult c;
-    c.index = static_cast<std::size_t>(i);
-    core::SchemeMetrics m;
+    core::SchemeMetrics& m = result.cells.scheme(static_cast<std::size_t>(i));
     // append() avoids GCC 12's -Wrestrict false positive (PR105651).
     m.scheme = std::string("s").append(std::to_string(i));
     m.feasible = true;
     m.ct = 1.0 + i;
     m.p_channel_w = 3.0 - i;
-    c.scheme = m;
-    result.cells.push_back(c);
   }
-  const auto sweep = result.to_tradeoff_sweep();
+  const auto sweep = result.cells.to_tradeoff_sweep();
   ASSERT_EQ(sweep.points.size(), 3u);
   EXPECT_EQ(sweep.points[0].scheme, "s0");
   EXPECT_EQ(sweep.points[2].scheme, "s2");

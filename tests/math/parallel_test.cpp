@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace photecc::math {
@@ -122,6 +124,36 @@ TEST(ParallelFor, NonStandardExceptionDoesNotDeadlock) {
                               }),
                  int)
         << "threads=" << threads;
+  }
+}
+
+TEST(ParallelForBlocksOrdered, DeliversCompleteRangesInAscendingOrder) {
+  // Compute granularity (1 or 5) and delivery granularity (3 or 5)
+  // differ or coincide; either way every range arrives once, in order,
+  // after all of its slots were written.
+  constexpr std::size_t n = 23;
+  for (const std::size_t block : {std::size_t{1}, std::size_t{5}}) {
+    for (const std::size_t deliver : {std::size_t{3}, std::size_t{5}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<int> slots(n, 0);
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        parallel_for_blocks_ordered(
+            n, block, deliver, threads,
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) slots[i] = 1;
+            },
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i)
+                EXPECT_EQ(slots[i], 1) << i;
+              ranges.emplace_back(begin, end);
+            });
+        ASSERT_EQ(ranges.size(), (n + deliver - 1) / deliver);
+        for (std::size_t r = 0; r < ranges.size(); ++r) {
+          EXPECT_EQ(ranges[r].first, r * deliver);
+          EXPECT_EQ(ranges[r].second, std::min(n, (r + 1) * deliver));
+        }
+      }
+    }
   }
 }
 

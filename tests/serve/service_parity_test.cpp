@@ -1,6 +1,6 @@
 // serve::Service answers every spec with exactly what spec::run computes:
-// the header's metric list is the run's first-seen metric union and the
-// concatenated `cells` records are the run's cells, byte for byte.  The
+// the header's metric list is the run's schema and the concatenated
+// `cells` records are the run's cells, byte for byte.  The
 // cases are every preset, every shipped examples/specs document, and the
 // routing corners: a network section without NoC axes, and the "noc"
 // evaluator on a network whose tiles outnumber the link's ONIs.
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "photecc/explore/evaluators.hpp"
 #include "photecc/explore/result.hpp"
 #include "photecc/math/json.hpp"
 #include "photecc/serve/protocol.hpp"
@@ -72,10 +74,13 @@ struct Streamed {
   std::vector<std::string> metrics;  ///< the header's metric list
   std::size_t cells = 0;             ///< the header's cell count
   std::string bodies;  ///< every cells record's array, joined by ','
+  std::vector<std::string> kinds;    ///< record kinds in arrival order
+  std::vector<std::uint64_t> begins;  ///< each cells record's "begin"
 };
 
-Streamed stream(const spec::ExperimentSpec& experiment) {
-  serve::Service service({.threads = 1, .block_size = 7});
+Streamed stream(const spec::ExperimentSpec& experiment,
+                std::size_t threads = 1, std::size_t block_size = 7) {
+  serve::Service service({.threads = threads, .block_size = block_size});
   std::ostringstream out;
   EXPECT_TRUE(
       service.handle_line(serve::sweep_request_line(experiment), out));
@@ -87,11 +92,13 @@ Streamed stream(const spec::ExperimentSpec& experiment) {
     const json::Value record = json::parse(line);
     const std::string& kind = record.find("kind")->as_string();
     EXPECT_NE(kind, "error") << line;
+    streamed.kinds.push_back(kind);
     if (kind == "header") {
       streamed.cells = record.find("cells")->as_uint64();
       for (const json::Value& name : record.find("metrics")->as_array())
         streamed.metrics.push_back(name.as_string());
     } else if (kind == "cells") {
+      streamed.begins.push_back(record.find("begin")->as_uint64());
       // The record ends with the cells array: ..."cells":[...]}
       const std::size_t begin = line.find(array_key) + array_key.size();
       if (!streamed.bodies.empty()) streamed.bodies += ',';
@@ -105,19 +112,11 @@ Streamed expected(const spec::ExperimentSpec& experiment) {
   const explore::ExperimentResult result = spec::run(experiment);
   Streamed run;
   run.cells = result.cells.size();
-  std::ostringstream bodies;
+  run.metrics = result.cells.schema().metrics;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const explore::CellResult& cell = result.cells[i];
-    for (const auto& [name, value] : cell.metrics) {
-      (void)value;
-      if (std::find(run.metrics.begin(), run.metrics.end(), name) ==
-          run.metrics.end())
-        run.metrics.push_back(name);
-    }
-    if (i) bodies << ',';
-    explore::write_cell_json(bodies, cell);
+    if (i) run.bodies += ',';
+    result.cells.append_cell_json(run.bodies, i);
   }
-  run.bodies = bodies.str();
   return run;
 }
 
@@ -150,9 +149,37 @@ TEST(ServeParity, ResolvedEvaluatorAgreesWithTheGridPredicate) {
     const explore::ScenarioGrid grid = spec::lower(experiment);
     EXPECT_EQ(spec::resolved_evaluator(experiment),
               grid.runs_simulator() ? "network" : "link");
-    EXPECT_EQ(spec::cell_evaluator(experiment, grid).has_value(),
-              grid.runs_simulator());
   }
+}
+
+TEST(ServeParity, SimulatorSweepStreamsInOrderAtFourThreads) {
+  // One record per cell, computed by four workers out of order, must
+  // still arrive in ascending order and concatenate to spec::run's JSON.
+  const spec::ExperimentSpec network =
+      load(PHOTECC_SOURCE_DIR "/examples/specs/network.json");
+  const Streamed served = stream(network, 4, 1);
+  const explore::ExperimentResult result = spec::run(network);
+  EXPECT_EQ(served.metrics,
+            explore::result_schema(spec::lower(network)).metrics);
+  EXPECT_EQ(served.metrics, result.cells.schema().metrics);
+  ASSERT_EQ(served.begins.size(), result.cells.size());
+  for (std::size_t i = 0; i < served.begins.size(); ++i)
+    EXPECT_EQ(served.begins[i], i);
+  ASSERT_FALSE(served.kinds.empty());
+  EXPECT_EQ(served.kinds.front(), "header");
+  EXPECT_EQ(served.kinds.back(), "done");
+
+  // The export frames the same cell objects one per line; JSON escapes
+  // every newline inside a string, so the framing is the only "\n  ".
+  std::string exported = result.json();
+  const std::string head = "{\"cells\":[\n  ", tail = "\n]}\n";
+  ASSERT_EQ(exported.rfind(head, 0), 0u);
+  exported = exported.substr(head.size(),
+                             exported.size() - head.size() - tail.size());
+  for (std::size_t at = exported.find(",\n  "); at != std::string::npos;
+       at = exported.find(",\n  ", at))
+    exported.erase(at + 1, 3);
+  EXPECT_EQ(served.bodies, exported);
 }
 
 }  // namespace

@@ -161,6 +161,25 @@ TEST(ServeService, NocGridTakesTheRunnerPathAndStillCaches) {
   EXPECT_EQ(service.stats().cache_hits, 1u);
 }
 
+TEST(ServeService, SimulatorHeaderPrecedesAnyCellEvaluation) {
+  // The first cell of this sweep throws (its trace file does not
+  // exist), so the header can only have been written before any cell
+  // was evaluated; the failed sweep is not cached.
+  serve::Service service({.threads = 1, .block_size = 64});
+  spec::ExperimentSpec experiment;
+  spec::TrafficEntry trace;
+  trace.kind = "trace";
+  trace.trace_path = "no/such/file.trace";
+  experiment.traffic = {trace};
+  const auto lines =
+      lines_of(respond(service, serve::sweep_request_line(experiment)));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(starts_with(lines[0], "{\"kind\":\"header\","));
+  EXPECT_NE(lines[0].find("\"axes\":[\"traffic\"]"), std::string::npos);
+  EXPECT_TRUE(starts_with(lines[1], "{\"kind\":\"error\","));
+  EXPECT_EQ(service.cache().entries(), 0u);
+}
+
 TEST(ServeService, StatsRecordReportsCounters) {
   serve::Service service({.threads = 1, .block_size = 5});
   (void)respond(service, serve::sweep_request_line(fig6b()));

@@ -2,6 +2,9 @@
 // byte-identical (CSV and JSON exports) to the hand-assembled
 // ScenarioGrid it replaces, for link grids, NoC grids and modulation
 // grids, at any thread count.
+#include <fstream>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "photecc/explore/evaluators.hpp"
@@ -115,8 +118,67 @@ TEST(SpecRun, ExplicitEvaluatorOverridesAutoChoice) {
                                     .threads(1)
                                     .build());
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].metric("delivered").has_value());
-  EXPECT_FALSE(result.cells[0].metric("p_channel_w").has_value());
+  EXPECT_TRUE(result.cells.metric(0, "delivered").has_value());
+  EXPECT_FALSE(result.cells.metric(0, "p_channel_w").has_value());
+}
+
+TEST(SpecRun, ExplicitLinkEvaluatorRejectsSimulatorSpecs) {
+  // The analytic evaluator cannot run a network or a NoC axis; naming it
+  // on such a spec is an error on the evaluator field, never a silent
+  // analytic sweep that still carries the NoC labels.
+  std::ifstream in(PHOTECC_SOURCE_DIR "/examples/specs/network.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  spec::ExperimentSpec network = spec::from_json(text.str());
+  network.evaluator = "link";
+  for (const bool keep_network : {true, false}) {
+    spec::ExperimentSpec experiment = network;
+    if (!keep_network) experiment.network.reset();
+    try {
+      spec::validate(experiment);
+      FAIL() << "evaluator link accepted, network " << keep_network;
+    } catch (const spec::SpecError& e) {
+      EXPECT_EQ(e.field(), "evaluator");
+    }
+    EXPECT_THROW((void)spec::run(experiment), spec::SpecError);
+  }
+  // The same rejection for every NoC-only axis on a plain spec.
+  EXPECT_THROW((void)spec::SpecBuilder().evaluator("link").laser_gating(
+                   {true}).build(),
+               spec::SpecError);
+  EXPECT_THROW((void)spec::SpecBuilder().evaluator("link").policies(
+                   {"min-time"}).build(),
+               spec::SpecError);
+  // A link-only spec still takes the name.
+  EXPECT_NO_THROW((void)spec::SpecBuilder()
+                      .evaluator("link")
+                      .codes({"H(7,4)"})
+                      .build());
+}
+
+TEST(SpecRun, ModulationPresetCounts) {
+  // The full-menu OOK-vs-PAM4 sweep on two links (what
+  // bench_modulation_tradeoff prints): 20 codes x 2 BERs x 2 links x 2
+  // formats.
+  spec::ExperimentSpec preset =
+      spec::preset_registry().make("modulation", "preset");
+  preset.threads = 1;
+  const auto result = spec::run(preset);
+  const explore::ResultTable& cells = result.cells;
+  ASSERT_EQ(cells.size(), 160u);
+  std::size_t pam4 = 0, feasible = 0;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    pam4 += cells.label(i, "modulation") == "pam4";
+    feasible += cells.feasible(i);
+  }
+  EXPECT_EQ(pam4, 80u);
+  EXPECT_EQ(feasible, 94u);
+  const auto front = result.pareto_front(spec::lower_objectives(preset));
+  EXPECT_EQ(front.size(), 12u);
+  std::size_t pam4_on_front = 0;
+  for (const std::size_t i : front)
+    pam4_on_front += cells.label(i, "modulation") == "pam4";
+  EXPECT_EQ(pam4_on_front, 3u);
 }
 
 TEST(SpecRun, LowerObjectivesMatchesFig6bObjectives) {
@@ -201,24 +263,14 @@ TEST(SpecRun, DeclaredMetricNamesMatchTheEvaluatorsExactly) {
   // objective validation.
   explore::ScenarioGrid link_grid;
   link_grid.codes({"w/o ECC"}).ber_targets({1e-8});
-  const auto link_cell = explore::evaluate_link_cell(link_grid.at(0));
-  std::vector<std::string> link_names;
-  for (const auto& [name, value] : link_cell.metrics) {
-    (void)value;
-    link_names.push_back(name);
-  }
-  EXPECT_EQ(link_names, explore::link_cell_metric_names());
+  EXPECT_EQ(explore::result_schema(link_grid).metrics,
+            explore::link_cell_metric_names());
 
   explore::ScenarioGrid noc_grid;
   noc_grid.traffic_patterns({explore::uniform_traffic(2e8)})
       .noc_horizon(2e-7);
-  const auto noc_cell = explore::evaluate_network_cell(noc_grid.at(0));
-  std::vector<std::string> noc_names;
-  for (const auto& [name, value] : noc_cell.metrics) {
-    (void)value;
-    noc_names.push_back(name);
-  }
-  EXPECT_EQ(noc_names, explore::noc_cell_metric_names());
+  EXPECT_EQ(explore::result_schema(noc_grid).metrics,
+            explore::noc_cell_metric_names());
 
   // With an environment axis the simulator evaluator appends exactly the
   // declared env metric names, in order.
@@ -227,16 +279,27 @@ TEST(SpecRun, DeclaredMetricNamesMatchTheEvaluatorsExactly) {
       .environments({{"static",
                       photecc::env::EnvironmentTimeline::constant(0.25)}})
       .noc_horizon(2e-7);
-  const auto env_cell = explore::evaluate_network_cell(env_grid.at(0));
-  std::vector<std::string> env_names;
-  for (const auto& [name, value] : env_cell.metrics) {
-    (void)value;
-    env_names.push_back(name);
-  }
   std::vector<std::string> expected = explore::noc_cell_metric_names();
   for (const auto& name : explore::noc_env_metric_names())
     expected.push_back(name);
-  EXPECT_EQ(env_names, expected);
+  EXPECT_EQ(explore::result_schema(env_grid).metrics, expected);
+
+  // And both evaluators fill every column of those schemas: a cell of
+  // each writes exactly the schema's width (the network evaluator checks
+  // it) and the link values match core::evaluate_scheme.
+  for (const explore::ScenarioGrid* grid : {&noc_grid, &env_grid}) {
+    explore::ResultTable cells(explore::result_schema(*grid), 1);
+    EXPECT_NO_THROW(explore::evaluate_network_cell(grid->at(0), cells));
+    EXPECT_EQ(cells.metric(0, "delivered"),
+              std::make_optional<double>(cells.metric_row(0)[0]));
+  }
+  explore::ResultTable link_cells(explore::result_schema(link_grid), 1, true);
+  explore::evaluate_link_cell(link_grid.at(0), link_cells);
+  EXPECT_EQ(*link_cells.metric(0, "ct"), link_cells.scheme(0).ct);
+  EXPECT_EQ(*link_cells.metric(0, "p_channel_w"),
+            link_cells.scheme(0).p_channel_w);
+  EXPECT_EQ(*link_cells.metric(0, "snr"),
+            link_cells.scheme(0).operating_point.snr);
 }
 
 TEST(SpecRun, EnvironmentSpecMatchesHandAssembledGrid) {
@@ -353,8 +416,8 @@ TEST(SpecRun, NetworkSpecMatchesHandAssembledGrid) {
   EXPECT_EQ(by_spec.json(), by_hand.json());
   // The network evaluator publishes per-channel columns.
   ASSERT_FALSE(by_spec.cells.empty());
-  EXPECT_TRUE(by_spec.cells[0].metric("ch0_delivered").has_value());
-  EXPECT_TRUE(by_spec.cells[0].metric("ch1_delivered").has_value());
+  EXPECT_TRUE(by_spec.cells.metric(0, "ch0_delivered").has_value());
+  EXPECT_TRUE(by_spec.cells.metric(0, "ch1_delivered").has_value());
 }
 
 TEST(SpecRun, PerChannelMetricsAreObjectiveVocabulary) {
@@ -394,7 +457,7 @@ TEST(SpecRun, TraceTrafficSpecMatchesHandAssembledGrid) {
   EXPECT_EQ(by_spec.csv(), by_hand.csv());
   EXPECT_EQ(by_spec.json(), by_hand.json());
   ASSERT_FALSE(by_spec.cells.empty());
-  EXPECT_EQ(by_spec.cells[0].label("traffic").value_or("").rfind("trace@", 0),
+  EXPECT_EQ(by_spec.cells.label(0, "traffic").value_or("").rfind("trace@", 0),
             0u);
 }
 
@@ -408,13 +471,14 @@ TEST(SpecRun, ThermalPresetRunsAndSeparatesTheSchemes) {
   // Under the ramp environment, the uncoded scheme suffers thermal
   // drops that H(7,4) does not.
   double uncoded_thermal = -1.0, h74_thermal = -1.0;
-  for (const auto& cell : result.cells) {
-    if (cell.label("environment").value_or("").rfind("ramp", 0) != 0)
+  const explore::ResultTable& cells = result.cells;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells.label(i, "environment").value_or("").rfind("ramp", 0) != 0)
       continue;
-    if (cell.label("code") == std::make_optional<std::string>("w/o ECC"))
-      uncoded_thermal = cell.metric("dropped_thermal").value_or(-1.0);
-    if (cell.label("code") == std::make_optional<std::string>("H(7,4)"))
-      h74_thermal = cell.metric("dropped_thermal").value_or(-1.0);
+    if (cells.label(i, "code") == std::make_optional<std::string>("w/o ECC"))
+      uncoded_thermal = cells.metric(i, "dropped_thermal").value_or(-1.0);
+    if (cells.label(i, "code") == std::make_optional<std::string>("H(7,4)"))
+      h74_thermal = cells.metric(i, "dropped_thermal").value_or(-1.0);
   }
   EXPECT_GT(uncoded_thermal, 0.0);
   EXPECT_EQ(h74_thermal, 0.0);
