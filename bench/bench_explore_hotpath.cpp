@@ -30,7 +30,6 @@
 #include "photecc/explore/plan.hpp"
 #include "photecc/explore/runner.hpp"
 #include "photecc/math/parallel.hpp"
-#include "photecc/spec/builder.hpp"
 #include "photecc/spec/run.hpp"
 
 namespace {
@@ -76,12 +75,10 @@ bool check(bool condition, const std::string& what) {
 }
 
 int run_smoke() {
-  const spec::ExperimentSpec experiment =
-      spec::SpecBuilder()
-          .codes(explore::paper_scheme_names())
-          .ber_targets({1e-8, 1e-10})
-          .links({"2 cm", "4 cm"})
-          .build();
+  const spec::ExperimentSpec experiment{
+      .codes = explore::paper_scheme_names(),
+      .ber_targets = {1e-8, 1e-10},
+      .links = {"2 cm", "4 cm"}};
   const explore::ScenarioGrid grid = spec::lower(experiment);
   const auto cold = run_cold(grid);
 
@@ -106,13 +103,11 @@ int run_smoke() {
 
 int run_full() {
   // --- Part 1: the 600-cell Fig. 6b-style grid, cold vs lowered.
-  const spec::ExperimentSpec headline =
-      spec::SpecBuilder()
-          .name("hotpath-600")
-          .codes(all_code_names())
-          .ber_targets({1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11})
-          .links({"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"})
-          .build();
+  const spec::ExperimentSpec headline{
+      .name = "hotpath-600",
+      .codes = all_code_names(),
+      .ber_targets = {1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11},
+      .links = {"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"}};
   const explore::ScenarioGrid grid = spec::lower(headline);
 
   auto start = std::chrono::steady_clock::now();
@@ -135,15 +130,13 @@ int run_full() {
   std::vector<double> dense_bers;
   for (int i = 0; i < 100; ++i)
     dense_bers.push_back(std::pow(10.0, -4.0 - 9.0 * i / 99.0));
-  const spec::ExperimentSpec scale =
-      spec::SpecBuilder()
-          .name("hotpath-scale")
-          .codes(all_code_names())
-          .ber_targets(dense_bers)
-          .links({"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"})
-          .oni_counts({4, 8, 12, 16, 32})
-          .modulations({"ook", "pam4"})
-          .build();
+  const spec::ExperimentSpec scale{
+      .name = "hotpath-scale",
+      .codes = all_code_names(),
+      .ber_targets = dense_bers,
+      .links = {"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"},
+      .oni_counts = {4, 8, 12, 16, 32},
+      .modulations = {"ook", "pam4"}};
   const explore::ScenarioGrid scale_grid = spec::lower(scale);
   const explore::LoweredPlan scale_plan{scale_grid};
   const auto scale_seq = scale_plan.execute(1);

@@ -25,7 +25,6 @@
 #include "photecc/ecc/registry.hpp"
 #include "photecc/serve/protocol.hpp"
 #include "photecc/serve/service.hpp"
-#include "photecc/spec/builder.hpp"
 #include "photecc/spec/registries.hpp"
 
 namespace {
@@ -53,12 +52,10 @@ spec::ExperimentSpec headline_spec() {
   std::vector<std::string> code_names;
   for (const auto& code : ecc::all_known_codes())
     code_names.push_back(code->name());
-  return spec::SpecBuilder()
-      .name("serve-headline")
-      .codes(std::move(code_names))
-      .ber_targets({1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11})
-      .links({"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"})
-      .build();
+  return {.name = "serve-headline",
+          .codes = std::move(code_names),
+          .ber_targets = {1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11},
+          .links = {"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"}};
 }
 
 int run_smoke() {

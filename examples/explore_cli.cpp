@@ -2,8 +2,8 @@
 // over photecc::spec: every mode and flag is parsed *into* an
 // ExperimentSpec, which is then validated, optionally printed
 // (--dump-spec) and executed by spec::run on the explore engine.  The
-// same experiment can therefore be launched from C++ (SpecBuilder), a
-// JSON document (--config) or these flags, interchangeably.
+// same experiment can therefore be launched from C++ (an ExperimentSpec
+// aggregate), a JSON document (--config) or these flags, interchangeably.
 //
 //   explore_cli --fig6b            reproduce the paper's Fig. 6b sweep
 //   explore_cli --noc              multi-axis NoC sweep (traffic x load x
@@ -49,7 +49,6 @@
 #include "photecc/math/table.hpp"
 #include "photecc/math/units.hpp"
 #include "photecc/serve/service.hpp"
-#include "photecc/spec/builder.hpp"
 #include "photecc/spec/cli.hpp"
 #include "photecc/spec/registries.hpp"
 #include "photecc/spec/run.hpp"
@@ -109,12 +108,10 @@ spec::ExperimentSpec bench_spec() {
   std::vector<std::string> code_names;
   for (const auto& code : ecc::all_known_codes())
     code_names.push_back(code->name());
-  return spec::SpecBuilder()
-      .name("bench-multiaxis")
-      .codes(std::move(code_names))
-      .ber_targets({1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11})
-      .links({"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"})
-      .build();
+  return {.name = "bench-multiaxis",
+          .codes = std::move(code_names),
+          .ber_targets = {1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11},
+          .links = {"2 cm", "4 cm", "6 cm", "10 cm", "14 cm"}};
 }
 
 /// The effective spec of a single-grid mode: preset / config document /
@@ -309,24 +306,17 @@ int run_config_smoke(const spec::ExperimentSpec& experiment) {
 
 int run_smoke(const Options& options) {
   // Link grid: every evaluator metric exercised, sequential vs parallel.
-  const spec::ExperimentSpec link_spec =
-      spec::SpecBuilder()
-          .codes(explore::paper_scheme_names())
-          .ber_targets({1e-8, 1e-10})
-          .build();
+  const spec::ExperimentSpec link_spec{
+      .codes = explore::paper_scheme_names(), .ber_targets = {1e-8, 1e-10}};
   // NoC grid: seeded simulation, gating on/off.
-  const spec::ExperimentSpec noc_spec = spec::SpecBuilder()
-                                            .uniform_traffic(2e8)
-                                            .laser_gating({true, false})
-                                            .noc_horizon(5e-7)
-                                            .build();
+  const spec::ExperimentSpec noc_spec{.noc_horizon_s = 5e-7,
+                                      .traffic = {{.rate_msgs_per_s = 2e8}},
+                                      .laser_gating = {true, false}};
   // Modulation grid: the OOK-vs-PAM4 sweep of the multilevel layer.
-  const spec::ExperimentSpec modulation_spec =
-      spec::SpecBuilder()
-          .codes(explore::paper_scheme_names())
-          .ber_targets({1e-8, 1e-10})
-          .modulations({"ook", "pam4"})
-          .build();
+  const spec::ExperimentSpec modulation_spec{
+      .codes = explore::paper_scheme_names(),
+      .ber_targets = {1e-8, 1e-10},
+      .modulations = {"ook", "pam4"}};
 
   const std::size_t parallel_threads =
       options.threads.value_or(0) ? *options.threads : 4;

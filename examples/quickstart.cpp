@@ -5,8 +5,9 @@
 //
 // Walks the public API end to end on the declarative spec layer: the
 // experiment — the paper's "paper" link variant, its three-scheme code
-// menu and the BER target — is one ExperimentSpec built fluently, and
-// spec::run evaluates it on the explore engine.  The same spec could
+// menu and the BER target — is one ExperimentSpec aggregate whose
+// designated initializers name each field, and spec::run checks and
+// evaluates it on the explore engine.  The same spec could
 // equally come from a JSON document (spec::from_json) or explore_cli
 // flags; see README "Three ways to describe an experiment".
 #include <cstdlib>
@@ -16,7 +17,6 @@
 #include "photecc/explore/evaluators.hpp"
 #include "photecc/link/link_budget.hpp"
 #include "photecc/math/units.hpp"
-#include "photecc/spec/builder.hpp"
 #include "photecc/spec/registries.hpp"
 #include "photecc/spec/run.hpp"
 
@@ -33,13 +33,11 @@ int main(int argc, char** argv) {
   // 1. The experiment, declaratively: the paper's MWSR channel (12
   //    ONIs, 16 wavelengths, 6 cm waveguide — the "paper" link-registry
   //    variant) with the paper's three transmission schemes.
-  const spec::ExperimentSpec experiment =
-      spec::SpecBuilder()
-          .name("quickstart")
-          .link("paper")
-          .codes(explore::paper_scheme_names())
-          .ber_targets({target_ber})
-          .build();
+  const spec::ExperimentSpec experiment{
+      .name = "quickstart",
+      .base_link = "paper",
+      .codes = explore::paper_scheme_names(),
+      .ber_targets = {target_ber}};
 
   // 2. Where does the light go?  The stage-by-stage insertion-loss walk
   //    on the channel the spec's link variant describes.

@@ -1,8 +1,9 @@
 // String-keyed extensible registries: the indirection that lets an
 // ExperimentSpec stay plain data.  Every axis value a spec names is
-// resolved here — link variants to MwsrParams, evaluator names to the
-// grid's simulator flag, traffic kinds to TrafficSpec lowerings, policy and
-// modulation names to their enums, preset names to whole specs.
+// resolved here, once, by spec::lower — link variants to MwsrParams,
+// evaluator names to the grid's simulator flag, traffic kinds to
+// TrafficSpec lowerings, policy and modulation names to their enums —
+// and preset names to whole specs.
 // Registries are process-global and append-only: library users may
 // register their own variants next to the built-ins and reference them
 // from JSON configs without touching this module.
@@ -108,7 +109,7 @@ using TrafficLowering =
 
 /// Lowers one EnvironmentEntry to an env timeline.  The lowering also
 /// range-checks the entry (the env factories throw std::invalid_argument
-/// for out-of-range values, which validate() rewraps as SpecError).
+/// for out-of-range values, which spec::lower rewraps as SpecError).
 using EnvironmentLowering =
     std::function<env::EnvironmentTimeline(const EnvironmentEntry&)>;
 

@@ -6,9 +6,23 @@
 // policy, objectives, evaluator, seed, thread count — as plain
 // string-keyed values resolved through the extensible registries of
 // registries.hpp.  The same spec can be produced three equivalent ways
-// (the fluent SpecBuilder, a JSON document, explore_cli flags) and is
-// lowered by run.hpp onto the existing explore::ScenarioGrid /
-// SweepRunner engine.
+// (the struct itself, a JSON document, explore_cli flags) and is lowered
+// by run.hpp onto the existing explore::ScenarioGrid / SweepRunner
+// engine.  The struct is a plain aggregate; C++20 designated
+// initializers name the fields a C++ caller sets:
+//
+//   const spec::ExperimentSpec experiment{
+//       .name = "fig6b",
+//       .base_link = "paper-6cm",
+//       .codes = {"H(71,64)", "BCH(15,7,2)"},
+//       .ber_targets = {1e-8, 1e-10},
+//       .modulations = {"pam4"},
+//       .objectives = {{"ct"}, {"p_channel_w"}},
+//   };
+//
+// Every member carries a default member initializer (`{}` where the
+// default is empty), so an initializer that omits members stays
+// warning-free under -Wextra.
 //
 // Serialization contract: to_json() is a pure function of the struct
 // (canonical key order, axes omitted when undeclared, shortest
@@ -76,7 +90,7 @@ struct TrafficEntry {
   std::uint64_t payload_bits = 4096;
   std::size_t hotspot = 0;           ///< hot tile ("hotspot" kind only)
   double hotspot_fraction = 0.5;     ///< share aimed at the hotspot
-  std::string trace_path;            ///< message file ("trace" kind only)
+  std::string trace_path{};          ///< message file ("trace" kind only)
 
   [[nodiscard]] bool operator==(const TrafficEntry&) const = default;
 };
@@ -85,7 +99,7 @@ struct TrafficEntry {
 struct EnvironmentPhaseEntry {
   double duration_s = 1e-6;
   double activity = 0.25;
-  std::string label;  ///< optional; "" omits the key
+  std::string label{};  ///< optional; "" omits the key
 
   [[nodiscard]] bool operator==(const EnvironmentPhaseEntry&) const = default;
 };
@@ -108,7 +122,7 @@ struct EnvironmentEntry {
   double end_s = 0.0;                ///< ramp
   double from_activity = 0.25;       ///< step / ramp
   double to_activity = 0.25;         ///< step / ramp
-  std::vector<EnvironmentPhaseEntry> phases;  ///< phases
+  std::vector<EnvironmentPhaseEntry> phases{};  ///< phases
   bool cyclic = true;                ///< phases
   double baseline_activity = 0.25;   ///< self-heating
   double busy_gain = 0.5;            ///< self-heating
@@ -129,18 +143,18 @@ struct NetworkEntry {
   std::string mapping = "interleaved";  ///< "interleaved" or "blocked"
   /// Per-channel pinned codes (one name per channel; "" leaves that
   /// channel on the grid's menu).  Empty = every channel inherits.
-  std::vector<std::string> channel_codes;
+  std::vector<std::string> channel_codes{};
   /// Per-channel environment timelines (one entry per channel when
   /// non-empty; hot-spot readers vs cool edges).  Empty = every channel
   /// inherits the base link's timeline.
-  std::vector<EnvironmentEntry> channel_environments;
+  std::vector<EnvironmentEntry> channel_environments{};
 
   [[nodiscard]] bool operator==(const NetworkEntry&) const = default;
 };
 
 /// One dimension of the Pareto extraction the experiment reports.
 struct ObjectiveEntry {
-  std::string metric;
+  std::string metric{};
   bool minimize = true;
 
   [[nodiscard]] bool operator==(const ObjectiveEntry&) const = default;
@@ -150,7 +164,7 @@ struct ObjectiveEntry {
 /// not declared" (the grid then holds the base value with no label
 /// column), exactly like ScenarioGrid.
 struct ExperimentSpec {
-  std::string name;                  ///< free-form; "" omits the field
+  std::string name{};                ///< free-form; "" omits the field
   std::string evaluator = "auto";    ///< "auto" or evaluator_registry() key
   std::size_t threads = 0;           ///< 0 = hardware concurrency
 
@@ -161,21 +175,21 @@ struct ExperimentSpec {
 
   /// Tiled-network section (schema v3); unset = the classic
   /// single-channel evaluation path, byte-identical to pre-v3 specs.
-  std::optional<NetworkEntry> network;
+  std::optional<NetworkEntry> network{};
 
   // Axes (canonical grid order: code, BER, link, ONI, traffic, gating,
   // policy, modulation, environment).
-  std::vector<std::string> codes;         ///< ecc registry names
-  std::vector<double> ber_targets;
-  std::vector<std::string> links;         ///< link_registry() keys
-  std::vector<std::size_t> oni_counts;
-  std::vector<TrafficEntry> traffic;
-  std::vector<bool> laser_gating;
-  std::vector<std::string> policies;      ///< core policy names
-  std::vector<std::string> modulations;   ///< math modulation names
-  std::vector<EnvironmentEntry> environments;  ///< schema v2
+  std::vector<std::string> codes{};       ///< ecc registry names
+  std::vector<double> ber_targets{};
+  std::vector<std::string> links{};       ///< link_registry() keys
+  std::vector<std::size_t> oni_counts{};
+  std::vector<TrafficEntry> traffic{};
+  std::vector<bool> laser_gating{};
+  std::vector<std::string> policies{};    ///< core policy names
+  std::vector<std::string> modulations{};  ///< math modulation names
+  std::vector<EnvironmentEntry> environments{};  ///< schema v2
 
-  std::vector<ObjectiveEntry> objectives;
+  std::vector<ObjectiveEntry> objectives{};
 
   [[nodiscard]] bool operator==(const ExperimentSpec&) const = default;
 
@@ -207,20 +221,14 @@ struct ExperimentSpec {
 /// breaks loudly.
 [[nodiscard]] std::uint64_t canonical_hash(const ExperimentSpec& spec);
 
-/// Semantic validation shared by from_json, SpecBuilder::build and
-/// run(): every name resolves in its registry, every number is in
-/// range, an explicit "link" evaluator declares no network section or
-/// NoC axis, and every objective names a metric column of the grid the
-/// spec lowers to (explore::result_schema).  Throws SpecError naming
-/// the offending field.
+/// Semantic validation, as used by from_json: exactly spec::lower
+/// (run.hpp) with the grid discarded.  Every name resolves in its
+/// registry, every number is in range, an explicit "link" evaluator
+/// declares no network section or NoC axis, and every objective names
+/// a metric column of the grid the spec lowers to
+/// (explore::result_schema).  Throws SpecError naming the offending
+/// field.
 void validate(const ExperimentSpec& spec);
-
-/// The evaluator name the spec runs with: its own unless "auto", which
-/// resolves to "network" when the spec declares a network section or a
-/// NoC axis (traffic, laser gating, policies) and to "link" otherwise —
-/// the spec-side mirror of explore::ScenarioGrid::runs_simulator on
-/// lower(spec), which a test keeps in agreement.
-[[nodiscard]] std::string resolved_evaluator(const ExperimentSpec& spec);
 
 }  // namespace photecc::spec
 

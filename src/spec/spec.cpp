@@ -1,19 +1,13 @@
 #include "photecc/spec/spec.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
-#include "lowering.hpp"
 #include "photecc/cooling/cooling_code.hpp"
-#include "photecc/ecc/registry.hpp"
-#include "photecc/explore/evaluators.hpp"
 #include "photecc/math/hash.hpp"
 #include "photecc/math/json.hpp"
-#include "photecc/spec/registries.hpp"
 
 namespace photecc::spec {
 
@@ -739,259 +733,6 @@ ExperimentSpec from_json_value(const json::Value& document) {
 
 std::uint64_t canonical_hash(const ExperimentSpec& spec) {
   return math::fnv1a64(spec.to_json());
-}
-
-// --- Validation --------------------------------------------------------
-
-namespace {
-
-void check_finite_positive(double value, const std::string& path) {
-  if (!std::isfinite(value) || value <= 0.0)
-    throw SpecError(path, "must be a finite value > 0, got " +
-                              json::number(value));
-}
-
-/// Smallest ONI count any cell of the spec can have: the oni_counts
-/// axis when declared, else the link-variant axis, else the base link.
-/// Hotspot indices must fit the smallest count (every traffic entry is
-/// crossed with every ONI/link value).
-std::size_t min_oni_count(const ExperimentSpec& spec) {
-  std::size_t min_oni = std::numeric_limits<std::size_t>::max();
-  if (!spec.oni_counts.empty()) {
-    for (const std::size_t count : spec.oni_counts)
-      min_oni = std::min(min_oni, count);
-  } else if (!spec.links.empty()) {
-    for (std::size_t i = 0; i < spec.links.size(); ++i)
-      min_oni = std::min(
-          min_oni, link_registry()
-                       .make(spec.links[i], element_path("axes.links", i))
-                       .oni_count);
-  } else {
-    min_oni = link_registry().make(spec.base_link, "base.link").oni_count;
-  }
-  return min_oni;
-}
-
-/// True when the spec declares what only the simulator can run: a
-/// network section or a NoC axis (traffic, laser gating, policies).
-bool needs_simulator(const ExperimentSpec& spec) {
-  return spec.network || !spec.traffic.empty() ||
-         !spec.laser_gating.empty() || !spec.policies.empty();
-}
-
-}  // namespace
-
-std::string resolved_evaluator(const ExperimentSpec& spec) {
-  if (spec.evaluator != "auto") return spec.evaluator;
-  return needs_simulator(spec) ? "network" : "link";
-}
-
-void validate(const ExperimentSpec& spec) {
-  // The COOL(...) family resolves through the ecc factory hook; make
-  // sure it is installed before any make_code call below.
-  cooling::register_cooling_codes();
-
-  if (spec.evaluator != "auto" &&
-      !evaluator_registry().contains(spec.evaluator)) {
-    std::string known = "auto";
-    for (const auto& name : evaluator_registry().names())
-      known += ", " + name;
-    throw SpecError("evaluator", "unknown evaluator '" + spec.evaluator +
-                                     "' (known: " + known + ")");
-  }
-  if (spec.evaluator != "auto" &&
-      !evaluator_registry().make(spec.evaluator, "evaluator") &&
-      needs_simulator(spec))
-    throw SpecError("evaluator",
-                    "evaluator '" + spec.evaluator +
-                        "' cannot run a network section or the NoC axes "
-                        "(traffic, laser_gating, policies); use auto, noc "
-                        "or network");
-
-  (void)link_registry().make(spec.base_link, "base.link");
-  check_finite_positive(spec.noc_horizon_s, "base.noc_horizon_s");
-
-  for (std::size_t i = 0; i < spec.codes.size(); ++i) {
-    try {
-      (void)ecc::make_code(spec.codes[i]);
-    } catch (const std::invalid_argument&) {
-      throw SpecError(element_path("axes.codes", i),
-                      "unknown code '" + spec.codes[i] + "'");
-    }
-  }
-  for (std::size_t i = 0; i < spec.ber_targets.size(); ++i) {
-    const double ber = spec.ber_targets[i];
-    if (!std::isfinite(ber) || ber <= 0.0 || ber >= 0.5)
-      throw SpecError(element_path("axes.ber_targets", i),
-                      "value " + json::number(ber) +
-                          " outside the BER range (0, 0.5)");
-  }
-  for (std::size_t i = 0; i < spec.links.size(); ++i)
-    (void)link_registry().make(spec.links[i],
-                               element_path("axes.links", i));
-  for (std::size_t i = 0; i < spec.oni_counts.size(); ++i) {
-    if (spec.oni_counts[i] < 2)
-      throw SpecError(element_path("axes.oni_counts", i),
-                      "an MWSR channel needs >= 2 ONIs (writers + the "
-                      "reader), got " + std::to_string(spec.oni_counts[i]));
-  }
-  for (std::size_t i = 0; i < spec.traffic.size(); ++i) {
-    const TrafficEntry& entry = spec.traffic[i];
-    const std::string entry_path = element_path("axes.traffic", i);
-    (void)traffic_registry().make(entry.kind, entry_path + ".kind");
-    if (entry.kind == "trace") {
-      // The trace file carries the whole schedule; every generator
-      // field must stay at its default or to_json() would silently
-      // drop it (same round-trip rule as the hotspot fields below).
-      if (entry.trace_path.empty())
-        throw SpecError(entry_path + ".path", "required for kind 'trace'");
-      if (entry.rate_msgs_per_s != TrafficEntry{}.rate_msgs_per_s ||
-          entry.payload_bits != TrafficEntry{}.payload_bits)
-        throw SpecError(entry_path,
-                        "rate_msgs_per_s / payload_bits are not valid for "
-                        "kind 'trace' (the trace file carries the schedule)");
-    } else {
-      if (!entry.trace_path.empty())
-        throw SpecError(entry_path,
-                        "path is only valid for kind 'trace', got kind '" +
-                            entry.kind + "'");
-      check_finite_positive(entry.rate_msgs_per_s,
-                            entry_path + ".rate_msgs_per_s");
-      if (entry.payload_bits == 0)
-        throw SpecError(entry_path + ".payload_bits", "must be > 0");
-    }
-    if (entry.kind != "hotspot" &&
-        (entry.hotspot != TrafficEntry{}.hotspot ||
-         entry.hotspot_fraction != TrafficEntry{}.hotspot_fraction))
-      // Mirrors the JSON reader's rejection of these keys on other
-      // kinds; otherwise to_json() would silently drop the values and
-      // break the struct-level round trip.
-      throw SpecError(entry_path,
-                      "hotspot / hotspot_fraction are only valid for kind "
-                      "'hotspot', got kind '" + entry.kind + "'");
-    if (entry.kind == "hotspot") {
-      if (!std::isfinite(entry.hotspot_fraction) ||
-          entry.hotspot_fraction < 0.0 || entry.hotspot_fraction > 1.0)
-        throw SpecError(entry_path + ".hotspot_fraction",
-                        "value " + json::number(entry.hotspot_fraction) +
-                            " outside [0, 1]");
-      // Hotspot indices address tiles: the network's tile count when a
-      // network section is declared, else the smallest ONI count any
-      // cell can take.
-      if (const std::size_t tiles = spec.network ? spec.network->tile_count
-                                                 : min_oni_count(spec);
-          entry.hotspot >= tiles)
-        throw SpecError(entry_path + ".hotspot",
-                        "tile index " + std::to_string(entry.hotspot) +
-                            " out of range for the smallest tile count " +
-                            std::to_string(tiles) + " in this spec");
-    }
-  }
-  for (std::size_t i = 0; i < spec.policies.size(); ++i)
-    (void)policy_registry().make(spec.policies[i],
-                                 element_path("axes.policies", i));
-  for (std::size_t i = 0; i < spec.modulations.size(); ++i)
-    (void)modulation_registry().make(spec.modulations[i],
-                                     element_path("axes.modulations", i));
-  for (std::size_t i = 0; i < spec.environments.size(); ++i) {
-    const EnvironmentEntry& entry = spec.environments[i];
-    const std::string entry_path = element_path("axes.environments", i);
-    const EnvironmentLowering lowering =
-        environment_registry().make(entry.kind, entry_path + ".kind");
-    // The env factories range-check everything (activities in [0, 1],
-    // ordered ramp endpoints, positive durations/tau); rewrap their
-    // exceptions with the offending entry's field path.
-    try {
-      (void)lowering(entry);
-    } catch (const std::invalid_argument& e) {
-      throw SpecError(entry_path, e.what());
-    }
-    // The link evaluator solves one static operating point (the t = 0
-    // sample): a time-varying timeline would silently collapse to its
-    // initial value.  Only the NoC evaluator (or a custom one) plays
-    // the dynamics out.
-    if (entry.kind != "constant" && resolved_evaluator(spec) == "link")
-      throw SpecError(entry_path + ".kind",
-                      "time-varying environment '" + entry.kind +
-                          "' needs the 'noc' evaluator (the link "
-                          "evaluator solves at the t = 0 sample); use "
-                          "kind 'constant' or declare a NoC axis or "
-                          "evaluator");
-  }
-  if (spec.network) {
-    const NetworkEntry& net = *spec.network;
-    if (net.kind != "tiled")
-      throw SpecError("network.kind", "unknown network kind '" + net.kind +
-                                          "' (known: tiled)");
-    if (net.tile_count < 2)
-      throw SpecError("network.tile_count",
-                      "a tiled network needs >= 2 tiles, got " +
-                          std::to_string(net.tile_count));
-    if (net.channel_count < 1 || net.channel_count > net.tile_count)
-      throw SpecError("network.channel_count",
-                      "must be in [1, tile_count], got " +
-                          std::to_string(net.channel_count));
-    if (net.mapping != "interleaved" && net.mapping != "blocked")
-      throw SpecError("network.mapping", "unknown mapping '" + net.mapping +
-                                             "' (known: interleaved, "
-                                             "blocked)");
-    if (!net.channel_codes.empty() &&
-        net.channel_codes.size() != net.channel_count)
-      throw SpecError("network.channel_codes",
-                      "must name one code per channel (" +
-                          std::to_string(net.channel_count) + "), got " +
-                          std::to_string(net.channel_codes.size()));
-    for (std::size_t i = 0; i < net.channel_codes.size(); ++i) {
-      if (net.channel_codes[i].empty()) continue;  // inherit the menu
-      try {
-        (void)ecc::make_code(net.channel_codes[i]);
-      } catch (const std::invalid_argument&) {
-        throw SpecError(element_path("network.channel_codes", i),
-                        "unknown code '" + net.channel_codes[i] + "'");
-      }
-    }
-    if (!net.channel_environments.empty() &&
-        net.channel_environments.size() != net.channel_count)
-      throw SpecError("network.channel_environments",
-                      "must give one timeline per channel (" +
-                          std::to_string(net.channel_count) + "), got " +
-                          std::to_string(net.channel_environments.size()));
-    for (std::size_t i = 0; i < net.channel_environments.size(); ++i) {
-      const EnvironmentEntry& entry = net.channel_environments[i];
-      const std::string entry_path =
-          element_path("network.channel_environments", i);
-      const EnvironmentLowering lowering =
-          environment_registry().make(entry.kind, entry_path + ".kind");
-      try {
-        (void)lowering(entry);
-      } catch (const std::invalid_argument& e) {
-        throw SpecError(entry_path, e.what());
-      }
-    }
-  }
-
-  // Objectives may name any metric column of the grid the spec lowers
-  // to — the same schema the exports are written in.
-  if (spec.objectives.empty()) return;
-  const std::vector<std::string> known_metrics =
-      explore::result_schema(detail::lower_unchecked(spec)).metrics;
-  for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
-    const std::string& metric = spec.objectives[i].metric;
-    const std::string metric_path =
-        element_path("objectives", i) + ".metric";
-    if (metric.empty()) throw SpecError(metric_path, "must not be empty");
-    if (std::find(known_metrics.begin(), known_metrics.end(), metric) ==
-        known_metrics.end()) {
-      std::string known;
-      for (const std::string& name : known_metrics) {
-        if (!known.empty()) known += ", ";
-        known += name;
-      }
-      throw SpecError(metric_path, "unknown metric '" + metric +
-                                       "' for this spec's evaluator "
-                                       "(known: " + known + ")");
-    }
-  }
 }
 
 }  // namespace photecc::spec

@@ -142,16 +142,6 @@ TEST(ServeParity, EverySpecStreamsWhatSpecRunComputes) {
   }
 }
 
-TEST(ServeParity, ResolvedEvaluatorAgreesWithTheGridPredicate) {
-  for (auto [name, experiment] : cases()) {
-    SCOPED_TRACE(name);
-    experiment.evaluator = "auto";
-    const explore::ScenarioGrid grid = spec::lower(experiment);
-    EXPECT_EQ(spec::resolved_evaluator(experiment),
-              grid.runs_simulator() ? "network" : "link");
-  }
-}
-
 TEST(ServeParity, SimulatorSweepStreamsInOrderAtFourThreads) {
   // One record per cell, computed by four workers out of order, must
   // still arrive in ascending order and concatenate to spec::run's JSON.

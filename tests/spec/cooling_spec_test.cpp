@@ -7,10 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include "photecc/spec/builder.hpp"
+#include "photecc/cooling/cooling_code.hpp"
 #include "photecc/spec/registries.hpp"
 #include "photecc/spec/spec.hpp"
 
+namespace cooling = photecc::cooling;
 namespace spec = photecc::spec;
 
 namespace {
@@ -34,14 +35,13 @@ std::string field_of(const std::string& document) {
 
 }  // namespace
 
-TEST(CoolingSpec, BuilderSpecIsByteStableAtVersion4) {
-  const spec::ExperimentSpec original = spec::SpecBuilder()
-                                            .name("cooling-mix")
-                                            .codes({"H(71,64)"})
-                                            .cooling("H(71,64)", 16)
-                                            .cooling(std::size_t{64}, 16)
-                                            .ber_targets({1e-11})
-                                            .build();
+TEST(CoolingSpec, StructSpecIsByteStableAtVersion4) {
+  const spec::ExperimentSpec original{
+      .name = "cooling-mix",
+      .codes = {"H(71,64)", cooling::cooling_name("H(71,64)", 16),
+                cooling::cooling_name(std::size_t{64}, std::size_t{16})},
+      .ber_targets = {1e-11}};
+  spec::validate(original);
   EXPECT_EQ(original.codes,
             (std::vector<std::string>{"H(71,64)", "COOL(H(71,64),16)",
                                       "COOL(64,16)"}));
@@ -160,11 +160,11 @@ TEST(CoolingSpec, NetworkChannelCodesAcceptCoolingAtVersion4) {
   net.tile_count = 4;
   net.channel_count = 2;
   net.channel_codes = {"H(7,4)", "COOL(H(7,4),2)"};
-  const spec::ExperimentSpec original = spec::SpecBuilder()
-                                            .network(net)
-                                            .uniform_traffic(2e8)
-                                            .codes({"H(7,4)"})
-                                            .build();
+  const spec::ExperimentSpec original{
+      .network = net,
+      .codes = {"H(7,4)"},
+      .traffic = {{.rate_msgs_per_s = 2e8}}};
+  spec::validate(original);
   const std::string json = original.to_json();
   EXPECT_NE(json.find("\"photecc_spec\": 4"), std::string::npos);
   const spec::ExperimentSpec reparsed = spec::from_json(json);

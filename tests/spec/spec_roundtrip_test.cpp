@@ -1,10 +1,13 @@
 // The serialization contract: ExperimentSpec -> to_json -> from_json is
 // the identity, and to_json(from_json(to_json(s))) is byte-identical to
-// to_json(s) — for default specs, every preset, and a spec exercising
-// every field.
+// to_json(s) — for default specs, every preset, every shipped
+// examples/specs document, and a spec exercising every field.
 #include <gtest/gtest.h>
 
-#include "photecc/spec/builder.hpp"
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "photecc/spec/registries.hpp"
 #include "photecc/spec/spec.hpp"
 
@@ -13,26 +16,27 @@ namespace spec = photecc::spec;
 namespace {
 
 spec::ExperimentSpec full_spec() {
-  return spec::SpecBuilder()
-      .name("everything")
-      .evaluator("noc")
-      .threads(4)
-      .link("short-2cm-4oni")
-      .seed(0x9e3779b97f4a7c15ULL)  // > 2^53: must survive exactly
-      .noc_horizon(5e-7)
-      .codes({"w/o ECC", "H(71,64)", "BCH(15,7,2)"})
-      .ber_targets({1e-6, 1e-10})
-      .links({"paper-6cm-12oni", "short-2cm-4oni"})
-      .oni_counts({4, 8})
-      .uniform_traffic(2e8)
-      .hotspot_traffic(1e8, 0, 0.5)
-      .laser_gating({true, false})
-      .policies({"min-energy", "min-time"})
-      .modulations({"ook", "pam4"})
-      .objective("mean_latency_s")
-      .objective("energy_per_bit_j", true)
-      .objective("delivered", false)
-      .build();
+  spec::ExperimentSpec everything{
+      .name = "everything",
+      .evaluator = "noc",
+      .threads = 4,
+      .base_link = "short-2cm-4oni",
+      .seed = 0x9e3779b97f4a7c15ULL,  // > 2^53: must survive exactly
+      .noc_horizon_s = 5e-7,
+      .codes = {"w/o ECC", "H(71,64)", "BCH(15,7,2)"},
+      .ber_targets = {1e-6, 1e-10},
+      .links = {"paper-6cm-12oni", "short-2cm-4oni"},
+      .oni_counts = {4, 8},
+      .traffic = {{.rate_msgs_per_s = 2e8},
+                  {.kind = "hotspot", .rate_msgs_per_s = 1e8}},
+      .laser_gating = {true, false},
+      .policies = {"min-energy", "min-time"},
+      .modulations = {"ook", "pam4"},
+      .objectives = {{"mean_latency_s"},
+                     {"energy_per_bit_j", true},
+                     {"delivered", false}}};
+  spec::validate(everything);
+  return everything;
 }
 
 }  // namespace
@@ -69,6 +73,25 @@ TEST(SpecRoundTrip, EveryPresetIsByteStable) {
     EXPECT_EQ(reparsed, preset) << "preset " << name;
     EXPECT_EQ(reparsed.to_json(), json) << "preset " << name;
   }
+}
+
+TEST(SpecRoundTrip, EveryExampleSpecIsByteStable) {
+  // The shipped documents are what users copy: each must reach the
+  // canonical fixed point in one rewrite, byte for byte.
+  std::size_t documents = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           PHOTECC_SOURCE_DIR "/examples/specs")) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string first = spec::from_json(text.str()).to_json();
+    const std::string second = spec::from_json(first).to_json();
+    EXPECT_EQ(second, first);
+    ++documents;
+  }
+  EXPECT_GT(documents, 0u);
 }
 
 TEST(SpecRoundTrip, HandWrittenDocumentNormalizesStably) {
@@ -156,14 +179,14 @@ TEST(SpecRoundTrip, NetworkAndTraceSpecIsByteStableAtVersion3) {
   cool.activity = 0.25;
   net.channel_environments = {hot, cool};
 
-  const spec::ExperimentSpec original =
-      spec::SpecBuilder()
-          .name("tiled")
-          .network(net)
-          .trace_traffic("examples/traces/sample.trace")
-          .uniform_traffic(2e8)
-          .codes({"H(7,4)"})
-          .build();
+  const spec::ExperimentSpec original{
+      .name = "tiled",
+      .network = net,
+      .codes = {"H(7,4)"},
+      .traffic = {{.kind = "trace",
+                   .trace_path = "examples/traces/sample.trace"},
+                  {.rate_msgs_per_s = 2e8}}};
+  spec::validate(original);
   const std::string json = original.to_json();
   // v3 features force the writer up to schema version 3.
   EXPECT_NE(json.find("\"photecc_spec\": 3"), std::string::npos);
@@ -188,65 +211,32 @@ TEST(SpecRoundTrip, NameIsEscapedCorrectly) {
   EXPECT_EQ(reparsed.to_json(), original.to_json());
 }
 
-TEST(SpecBuilderValidation, BuildRejectsBadFieldsWithPaths) {
-  const auto field_of = [](auto&& fn) -> std::string {
+TEST(SpecValidation, RejectsBadFieldsWithPaths) {
+  const auto field_of = [](const spec::ExperimentSpec& experiment) {
     try {
-      fn();
+      spec::validate(experiment);
     } catch (const spec::SpecError& e) {
       return e.field();
     }
-    return "(no error)";
+    return std::string("(no error)");
   };
 
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().link("no-such-link").build();
-            }),
-            "base.link");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().codes({"H(7,4)", "X(1,2)"}).build();
-            }),
-            "axes.codes[1]");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().ber_targets({1e-9, 0.7}).build();
-            }),
-            "axes.ber_targets[1]");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().oni_counts({8, 1}).build();
-            }),
-            "axes.oni_counts[1]");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().policies({"fastest"}).build();
-            }),
-            "axes.policies[0]");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().modulation("qam64").build();
-            }),
-            "axes.modulations[0]");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().evaluator("magic").build();
-            }),
-            "evaluator");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().noc_horizon(-1.0).build();
-            }),
-            "base.noc_horizon_s");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder().objective("").build();
-            }),
-            "objectives[0].metric");
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder()
-                  .hotspot_traffic(1e8, 0, 1.5)
-                  .build();
-            }),
+  EXPECT_EQ(field_of({.base_link = "no-such-link"}), "base.link");
+  EXPECT_EQ(field_of({.codes = {"H(7,4)", "X(1,2)"}}), "axes.codes[1]");
+  EXPECT_EQ(field_of({.ber_targets = {1e-9, 0.7}}), "axes.ber_targets[1]");
+  EXPECT_EQ(field_of({.oni_counts = {8, 1}}), "axes.oni_counts[1]");
+  EXPECT_EQ(field_of({.policies = {"fastest"}}), "axes.policies[0]");
+  EXPECT_EQ(field_of({.modulations = {"qam64"}}), "axes.modulations[0]");
+  EXPECT_EQ(field_of({.evaluator = "magic"}), "evaluator");
+  EXPECT_EQ(field_of({.noc_horizon_s = -1.0}), "base.noc_horizon_s");
+  EXPECT_EQ(field_of({.objectives = {{""}}}), "objectives[0].metric");
+  EXPECT_EQ(field_of({.traffic = {{.kind = "hotspot",
+                                   .rate_msgs_per_s = 1e8,
+                                   .hotspot_fraction = 1.5}}}),
             "axes.traffic[0].hotspot_fraction");
-  // Hotspot fields on a non-hotspot kind are rejected builder-side too
+  // Hotspot fields on a non-hotspot kind are rejected on the struct too
   // (to_json would drop them, silently breaking the round trip).
-  EXPECT_EQ(field_of([] {
-              (void)spec::SpecBuilder()
-                  .traffic({{"uniform", 2e8, 4096, 3, 0.9, ""}})
-                  .build();
-            }),
+  EXPECT_EQ(field_of({.traffic = {{"uniform", 2e8, 4096, 3, 0.9, ""}}}),
             "axes.traffic[0]");
 }
 

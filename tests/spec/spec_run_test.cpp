@@ -9,7 +9,6 @@
 
 #include "photecc/explore/evaluators.hpp"
 #include "photecc/explore/runner.hpp"
-#include "photecc/spec/builder.hpp"
 #include "photecc/spec/registries.hpp"
 #include "photecc/spec/run.hpp"
 
@@ -24,11 +23,9 @@ TEST(SpecRun, Fig6bSpecMatchesHandAssembledGrid) {
   grid.codes(explore::paper_scheme_names()).ber_targets(bers);
   const auto by_hand = explore::SweepRunner{{1}}.run(grid);
 
-  const auto by_spec = spec::run(spec::SpecBuilder()
-                                     .codes(explore::paper_scheme_names())
-                                     .ber_targets(bers)
-                                     .threads(1)
-                                     .build());
+  const auto by_spec = spec::run({.threads = 1,
+                                  .codes = explore::paper_scheme_names(),
+                                  .ber_targets = bers});
   EXPECT_EQ(by_spec.csv(), by_hand.csv());
   EXPECT_EQ(by_spec.json(), by_hand.json());
 }
@@ -54,15 +51,14 @@ TEST(SpecRun, NocSpecMatchesHandAssembledGrid) {
       .noc_horizon(5e-7);
   const auto by_hand = explore::SweepRunner{{1}}.run(grid);
 
-  const auto by_spec = spec::run(spec::SpecBuilder()
-                                     .uniform_traffic(2e8)
-                                     .hotspot_traffic(1e8, 0, 0.5)
-                                     .laser_gating({true, false})
-                                     .policies({"min-energy", "min-time"})
-                                     .oni_counts({4, 8})
-                                     .noc_horizon(5e-7)
-                                     .threads(1)
-                                     .build());
+  const auto by_spec = spec::run(
+      {.threads = 1,
+       .noc_horizon_s = 5e-7,
+       .oni_counts = {4, 8},
+       .traffic = {{.rate_msgs_per_s = 2e8},
+                   {.kind = "hotspot", .rate_msgs_per_s = 1e8}},
+       .laser_gating = {true, false},
+       .policies = {"min-energy", "min-time"}});
   EXPECT_EQ(by_spec.csv(), by_hand.csv());
   EXPECT_EQ(by_spec.json(), by_hand.json());
 }
@@ -79,44 +75,40 @@ TEST(SpecRun, ModulationAndLinkVariantAxesMatchHandAssembledGrid) {
   const auto by_hand = explore::SweepRunner{{1}}.run(grid);
 
   const auto by_spec =
-      spec::run(spec::SpecBuilder()
-                    .codes(explore::paper_scheme_names())
-                    .ber_targets({1e-8})
-                    .links({"paper-6cm-12oni", "short-2cm-4oni"})
-                    .modulations({"ook", "pam4"})
-                    .threads(1)
-                    .build());
+      spec::run({.threads = 1,
+                 .codes = explore::paper_scheme_names(),
+                 .ber_targets = {1e-8},
+                 .links = {"paper-6cm-12oni", "short-2cm-4oni"},
+                 .modulations = {"ook", "pam4"}});
   EXPECT_EQ(by_spec.csv(), by_hand.csv());
   EXPECT_EQ(by_spec.json(), by_hand.json());
 }
 
-TEST(SpecRun, JsonConfigAndBuilderProduceIdenticalResults) {
-  // The three entry points promise equivalence: a spec assembled with
-  // the builder and the same spec round-tripped through its JSON
-  // document must run to byte-identical exports.
-  const spec::ExperimentSpec built = spec::SpecBuilder()
-                                         .codes({"w/o ECC", "H(7,4)"})
-                                         .ber_targets({1e-8, 1e-10})
-                                         .modulation("pam4")
-                                         .threads(1)
-                                         .build();
+TEST(SpecRun, JsonConfigAndStructProduceIdenticalResults) {
+  // The three entry points promise equivalence: a spec assembled as a
+  // struct and the same spec round-tripped through its JSON document
+  // must run to byte-identical exports.
+  const spec::ExperimentSpec built{.threads = 1,
+                                   .codes = {"w/o ECC", "H(7,4)"},
+                                   .ber_targets = {1e-8, 1e-10},
+                                   .modulations = {"pam4"}};
+  spec::validate(built);
   const spec::ExperimentSpec parsed = spec::from_json(built.to_json());
-  const auto from_builder = spec::run(built);
+  EXPECT_EQ(parsed, built);
+  const auto from_struct = spec::run(built);
   const auto from_json_doc = spec::run(parsed);
-  EXPECT_EQ(from_builder.csv(), from_json_doc.csv());
-  EXPECT_EQ(from_builder.json(), from_json_doc.json());
+  EXPECT_EQ(from_struct.csv(), from_json_doc.csv());
+  EXPECT_EQ(from_struct.json(), from_json_doc.json());
 }
 
 TEST(SpecRun, ExplicitEvaluatorOverridesAutoChoice) {
   // A code/BER grid normally runs the link evaluator; forcing "noc"
   // must produce NoC metrics instead.
-  const auto result = spec::run(spec::SpecBuilder()
-                                    .codes({"w/o ECC"})
-                                    .ber_targets({1e-8})
-                                    .evaluator("noc")
-                                    .noc_horizon(2e-7)
-                                    .threads(1)
-                                    .build());
+  const auto result = spec::run({.evaluator = "noc",
+                                 .threads = 1,
+                                 .noc_horizon_s = 2e-7,
+                                 .codes = {"w/o ECC"},
+                                 .ber_targets = {1e-8}});
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_TRUE(result.cells.metric(0, "delivered").has_value());
   EXPECT_FALSE(result.cells.metric(0, "p_channel_w").has_value());
@@ -143,17 +135,15 @@ TEST(SpecRun, ExplicitLinkEvaluatorRejectsSimulatorSpecs) {
     EXPECT_THROW((void)spec::run(experiment), spec::SpecError);
   }
   // The same rejection for every NoC-only axis on a plain spec.
-  EXPECT_THROW((void)spec::SpecBuilder().evaluator("link").laser_gating(
-                   {true}).build(),
-               spec::SpecError);
-  EXPECT_THROW((void)spec::SpecBuilder().evaluator("link").policies(
-                   {"min-time"}).build(),
-               spec::SpecError);
+  EXPECT_THROW(
+      spec::validate({.evaluator = "link", .laser_gating = {true}}),
+      spec::SpecError);
+  EXPECT_THROW(
+      spec::validate({.evaluator = "link", .policies = {"min-time"}}),
+      spec::SpecError);
   // A link-only spec still takes the name.
-  EXPECT_NO_THROW((void)spec::SpecBuilder()
-                      .evaluator("link")
-                      .codes({"H(7,4)"})
-                      .build());
+  EXPECT_NO_THROW(
+      spec::validate({.evaluator = "link", .codes = {"H(7,4)"}}));
 }
 
 TEST(SpecRun, ModulationPresetCounts) {
@@ -204,55 +194,50 @@ TEST(SpecRun, HotspotIndexOutOfRangeIsRejectedAtValidation) {
   // The paper's base link has 12 ONIs: hotspot 20 can never exist, and
   // must die in validate() with a field path, not abort inside the
   // traffic generator mid-sweep.
+  const spec::TrafficEntry hotspot20{
+      .kind = "hotspot", .rate_msgs_per_s = 1e8, .hotspot = 20};
   try {
-    (void)spec::SpecBuilder().hotspot_traffic(1e8, 20, 0.5).build();
+    spec::validate({.traffic = {hotspot20}});
     FAIL() << "out-of-range hotspot accepted";
   } catch (const spec::SpecError& e) {
     EXPECT_EQ(e.field(), "axes.traffic[0].hotspot");
   }
   // The same index is fine on a grid whose smallest ONI count admits it.
-  EXPECT_NO_THROW((void)spec::SpecBuilder()
-                      .hotspot_traffic(1e8, 20, 0.5)
-                      .oni_counts({24, 32})
-                      .build());
+  EXPECT_NO_THROW(
+      spec::validate({.oni_counts = {24, 32}, .traffic = {hotspot20}}));
   // ...and rejected again when any ONI-count axis value is too small.
-  EXPECT_THROW((void)spec::SpecBuilder()
-                   .hotspot_traffic(1e8, 20, 0.5)
-                   .oni_counts({8, 32})
-                   .build(),
-               spec::SpecError);
+  EXPECT_THROW(
+      spec::validate({.oni_counts = {8, 32}, .traffic = {hotspot20}}),
+      spec::SpecError);
   // The link-variant axis also bounds it (short-2cm-4oni has 4 ONIs).
-  EXPECT_THROW((void)spec::SpecBuilder()
-                   .hotspot_traffic(1e8, 6, 0.5)
-                   .links({"paper-6cm-12oni", "short-2cm-4oni"})
-                   .build(),
-               spec::SpecError);
+  EXPECT_THROW(
+      spec::validate(
+          {.links = {"paper-6cm-12oni", "short-2cm-4oni"},
+           .traffic = {{.kind = "hotspot", .rate_msgs_per_s = 1e8,
+                        .hotspot = 6}}}),
+      spec::SpecError);
 }
 
 TEST(SpecRun, UnknownObjectiveMetricIsRejectedAtValidation) {
   // Typo'd metric names must fail with the known list, not produce an
   // empty/meaningless Pareto front downstream.
   try {
-    (void)spec::SpecBuilder()
-        .codes({"w/o ECC"})
-        .objective("latency")  // link evaluator has no such metric
-        .build();
+    spec::validate({.codes = {"w/o ECC"},
+                    // The link evaluator has no such metric.
+                    .objectives = {{"latency"}}});
     FAIL() << "unknown objective metric accepted";
   } catch (const spec::SpecError& e) {
     EXPECT_EQ(e.field(), "objectives[0].metric");
     EXPECT_NE(std::string(e.what()).find("p_channel_w"), std::string::npos);
   }
   // The same name is valid NoC-side vocabulary when spelled right.
-  EXPECT_NO_THROW((void)spec::SpecBuilder()
-                      .uniform_traffic(1e8)
-                      .objective("mean_latency_s")
-                      .build());
+  EXPECT_NO_THROW(
+      spec::validate({.traffic = {{.rate_msgs_per_s = 1e8}},
+                      .objectives = {{"mean_latency_s"}}}));
   // "auto" resolves the evaluator like the runner: a NoC axis makes
   // link-only metrics invalid.
-  EXPECT_THROW((void)spec::SpecBuilder()
-                   .uniform_traffic(1e8)
-                   .objective("p_channel_w")
-                   .build(),
+  EXPECT_THROW(spec::validate({.traffic = {{.rate_msgs_per_s = 1e8}},
+                               .objectives = {{"p_channel_w"}}}),
                spec::SpecError);
 }
 
@@ -309,12 +294,10 @@ TEST(SpecRun, EnvironmentSpecMatchesHandAssembledGrid) {
   ramp.end_s = 4e-7;
   ramp.from_activity = 0.25;
   ramp.to_activity = 1.0;
-  const auto by_spec = spec::run(spec::SpecBuilder()
-                                     .uniform_traffic(2e8)
-                                     .environment(ramp)
-                                     .noc_horizon(5e-7)
-                                     .threads(1)
-                                     .build());
+  const auto by_spec = spec::run({.threads = 1,
+                                  .noc_horizon_s = 5e-7,
+                                  .traffic = {{.rate_msgs_per_s = 2e8}},
+                                  .environments = {ramp}});
 
   const auto timeline =
       photecc::env::EnvironmentTimeline::ramp(1e-7, 4e-7, 0.25, 1.0);
@@ -339,7 +322,7 @@ TEST(SpecRun, TimeVaryingEnvironmentNeedsTheNocEvaluator) {
   ramp.from_activity = 0.25;
   ramp.to_activity = 1.0;
   try {
-    (void)spec::SpecBuilder().environment(ramp).build();
+    spec::validate({.environments = {ramp}});
     FAIL() << "accepted a ramp under the link evaluator";
   } catch (const spec::SpecError& e) {
     EXPECT_EQ(e.field(), "axes.environments[0].kind");
@@ -348,12 +331,11 @@ TEST(SpecRun, TimeVaryingEnvironmentNeedsTheNocEvaluator) {
   }
   spec::EnvironmentEntry constant;
   constant.activity = 0.75;
-  EXPECT_NO_THROW((void)spec::SpecBuilder().environment(constant).build());
+  EXPECT_NO_THROW(spec::validate({.environments = {constant}}));
   EXPECT_NO_THROW(
-      (void)spec::SpecBuilder().evaluator("noc").environment(ramp).build());
-  EXPECT_NO_THROW(
-      (void)spec::SpecBuilder().uniform_traffic(1e8).environment(ramp)
-          .build());
+      spec::validate({.evaluator = "noc", .environments = {ramp}}));
+  EXPECT_NO_THROW(spec::validate(
+      {.traffic = {{.rate_msgs_per_s = 1e8}}, .environments = {ramp}}));
 }
 
 TEST(SpecRun, EnvironmentLabelsDistinguishDifferentTimelines) {
@@ -378,16 +360,11 @@ TEST(SpecRun, EnvironmentLabelsDistinguishDifferentTimelines) {
 TEST(SpecRun, EnvMetricObjectivesNeedAnEnvironmentAxis) {
   // dropped_thermal is NoC vocabulary only when an environment axis is
   // declared.
-  spec::EnvironmentEntry constant;
-  EXPECT_NO_THROW((void)spec::SpecBuilder()
-                      .uniform_traffic(1e8)
-                      .environment(constant)
-                      .objective("dropped_thermal")
-                      .build());
-  EXPECT_THROW((void)spec::SpecBuilder()
-                   .uniform_traffic(1e8)
-                   .objective("dropped_thermal")
-                   .build(),
+  EXPECT_NO_THROW(spec::validate({.traffic = {{.rate_msgs_per_s = 1e8}},
+                                  .environments = {spec::EnvironmentEntry{}},
+                                  .objectives = {{"dropped_thermal"}}}));
+  EXPECT_THROW(spec::validate({.traffic = {{.rate_msgs_per_s = 1e8}},
+                               .objectives = {{"dropped_thermal"}}}),
                spec::SpecError);
 }
 
@@ -396,12 +373,10 @@ TEST(SpecRun, NetworkSpecMatchesHandAssembledGrid) {
   entry.tile_count = 8;
   entry.channel_count = 2;
   entry.channel_codes = {"H(7,4)", "w/o ECC"};
-  const auto by_spec = spec::run(spec::SpecBuilder()
-                                     .network(entry)
-                                     .uniform_traffic(4e8)
-                                     .noc_horizon(5e-7)
-                                     .threads(1)
-                                     .build());
+  const auto by_spec = spec::run({.threads = 1,
+                                  .noc_horizon_s = 5e-7,
+                                  .network = entry,
+                                  .traffic = {{.rate_msgs_per_s = 4e8}}});
 
   explore::NetworkSpec net;
   net.tile_count = 8;
@@ -426,28 +401,23 @@ TEST(SpecRun, PerChannelMetricsAreObjectiveVocabulary) {
   spec::NetworkEntry entry;
   entry.tile_count = 8;
   entry.channel_count = 2;
-  EXPECT_NO_THROW((void)spec::SpecBuilder()
-                      .network(entry)
-                      .uniform_traffic(1e8)
-                      .objective("ch1_mean_latency_s")
-                      .build());
-  EXPECT_THROW((void)spec::SpecBuilder()
-                   .network(entry)
-                   .uniform_traffic(1e8)
-                   .objective("ch2_delivered")
-                   .build(),
+  EXPECT_NO_THROW(spec::validate({.network = entry,
+                                  .traffic = {{.rate_msgs_per_s = 1e8}},
+                                  .objectives = {{"ch1_mean_latency_s"}}}));
+  EXPECT_THROW(spec::validate({.network = entry,
+                               .traffic = {{.rate_msgs_per_s = 1e8}},
+                               .objectives = {{"ch2_delivered"}}}),
                spec::SpecError);
 }
 
 TEST(SpecRun, TraceTrafficSpecMatchesHandAssembledGrid) {
   const std::string path =
       std::string(PHOTECC_SOURCE_DIR) + "/examples/traces/sample.trace";
-  const auto by_spec = spec::run(spec::SpecBuilder()
-                                     .trace_traffic(path)
-                                     .oni_counts({8})
-                                     .noc_horizon(5e-7)
-                                     .threads(1)
-                                     .build());
+  const auto by_spec =
+      spec::run({.threads = 1,
+                 .noc_horizon_s = 5e-7,
+                 .oni_counts = {8},
+                 .traffic = {{.kind = "trace", .trace_path = path}}});
 
   explore::ScenarioGrid grid;
   grid.traffic_patterns({explore::trace_traffic(path)})
