@@ -115,9 +115,13 @@ spec::ExperimentSpec bench_spec() {
 }
 
 /// The effective spec of a single-grid mode: preset / config document /
-/// bench grid, with the flag overrides applied.
+/// bench grid, with the flag overrides applied.  Validated here unless
+/// it is a config document (spec::from_json has validated it) that no
+/// override changed, so an invalid spec or override fails before
+/// --dump-spec prints.
 spec::ExperimentSpec effective_spec(const Options& options) {
   spec::ExperimentSpec spec;
+  bool validated = false;
   if (!options.config_path.empty()) {
     std::ifstream is(options.config_path);
     if (!is)
@@ -126,6 +130,7 @@ spec::ExperimentSpec effective_spec(const Options& options) {
     std::ostringstream text;
     text << is.rdbuf();
     spec = spec::from_json(text.str());
+    validated = true;
   } else if (!options.preset.empty()) {
     spec = spec::preset_registry().make(options.preset, "--preset");
   } else if (options.mode == "--fig6b") {
@@ -135,9 +140,16 @@ spec::ExperimentSpec effective_spec(const Options& options) {
   } else {  // --bench
     spec = bench_spec();
   }
-  if (options.threads) spec.threads = *options.threads;
-  if (!options.modulations.empty()) spec.modulations = options.modulations;
-  spec::validate(spec);
+  if (options.threads && spec.threads != *options.threads) {
+    spec.threads = *options.threads;
+    validated = false;
+  }
+  if (!options.modulations.empty() &&
+      spec.modulations != options.modulations) {
+    spec.modulations = options.modulations;
+    validated = false;
+  }
+  if (!validated) spec::validate(spec);
   return spec;
 }
 

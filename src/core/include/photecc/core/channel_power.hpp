@@ -128,8 +128,8 @@ class ChannelSweepPlan {
   [[nodiscard]] SchemeMetrics evaluate_with_requirement(
       std::size_t code_index, double target_ber, double raw_ber) const;
 
-  /// Tail from a precomputed (raw BER, SNR) pair — the batched entry
-  /// for struct-of-arrays cell blocks.  `snr` must equal
+  /// Tail from a precomputed (raw BER, SNR) pair — the entry
+  /// LoweredPlan's hoisted tables feed.  `snr` must equal
   /// math::snr_from_ber_clamped(modulation, raw_ber) for bit-identity.
   [[nodiscard]] SchemeMetrics evaluate_with_solution(
       std::size_t code_index, double target_ber, double raw_ber,

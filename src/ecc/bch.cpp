@@ -17,6 +17,15 @@ std::uint64_t poly_mul_gf2(std::uint64_t a, std::uint64_t b) {
   return out;
 }
 
+// nextafter(x, +inf) - x for a positive normal x: the spacing of the
+// doubles in the binade [2^e, 2^(e+1)) that holds x, read off x's
+// exponent bits.  0 for zero and subnormal x.
+double ulp_above(double x) {
+  const std::uint64_t exponent =
+      std::bit_cast<std::uint64_t>(x) & 0x7ff0000000000000u;
+  return std::bit_cast<double>(exponent) * 0x1p-52;
+}
+
 unsigned poly_degree(std::uint64_t p) {
   unsigned d = 0;
   while (p >> (d + 1)) ++d;
@@ -48,6 +57,7 @@ BchCode::BchCode(unsigned m, unsigned t) : field_(m), t_(t) {
   if (deg >= n_)
     throw std::invalid_argument("BchCode: generator consumes the block");
   k_ = n_ - deg;
+  tail_ulp_floor_ = std::ldexp(1.0, static_cast<int>(n_) - 1069);
   generator_.resize(deg + 1);
   for (unsigned i = 0; i <= deg; ++i)
     generator_[i] = static_cast<unsigned>((g >> i) & 1u);
@@ -328,6 +338,29 @@ double BchCode::decoded_ber(double raw_p) const {
   // elsewhere.  Reduces to the paper's Eq. 2 for t = 1.  The tail is
   // summed directly (all-positive terms) so small-p values do not lose
   // precision to cancellation.
+  //
+  // The sum stops as soon as no later term can change it, so the result
+  // is bit-identical to summing all n - t terms.  Let T_j be the exact
+  // terms C(n-1, j) p^j q^(n-1-j) for the double values p and q, and
+  // T^_j the computed ones.  T_{j+1} / T_j = (n-1-j) p / ((j+1) q) falls
+  // as j grows, so once it is below 1/2 each later exact term is at most
+  // half the one before.  The loop stops after adding T^_J when
+  //   (a) 2 (n-1-J) p < (J+1) q          (term ratio below 1/2),
+  //   (b) T^_J < u / 4, u = nextafter(tail, +inf) - tail, and
+  //   (c) u >= 2^(n-1069)                (tail far above the subnormals).
+  // Margins.  Where pow(p, j), pow(q, n-1-j) and the products stay
+  // normal, T^_j is within a relative (2n + 6) eps of T_j (the running
+  // binomial, two pows, two products: below 1e-13 for n <= 1023).  Where
+  // any of them is subnormal, each adds an absolute error of at most
+  // C(n-1, j) 2^-1074, under 2^(n-1073) <= u / 16 in all by (c).  So
+  // T_J < (u/4 + u/16)(1 + 1e-13), each later exact term is below half of
+  // that (the rounding of (a) moves its 1/2 by 2 eps), and each later
+  // computed term is below (5/32 + 1/16 + 1e-12) u < u / 2.  Under
+  // round-to-nearest fl(tail + x) == tail for 0 <= x < u / 2, so the tail
+  // and its u never change again.  For p <= 1e-3 this leaves a handful
+  // of terms out of n - t.  (c) binds only for tails below about
+  // 2^(n-1017) (1e-268 at n = 127), far below anything the inversion's
+  // p >= 1e-18 bracket produces.
   const double q = 1.0 - raw_p;
   const double nm1 = static_cast<double>(n_ - 1);
   double tail = 0.0;  // P(>= t errors among n-1)
@@ -336,10 +369,14 @@ double BchCode::decoded_ber(double raw_p) const {
     comb = comb * (nm1 - static_cast<double>(j - 1)) /
            static_cast<double>(j);
   for (unsigned j = t_; j <= n_ - 1; ++j) {
-    tail += comb * std::pow(raw_p, static_cast<double>(j)) *
-            std::pow(q, nm1 - static_cast<double>(j));
-    comb = comb * (nm1 - static_cast<double>(j)) /
-           static_cast<double>(j + 1);
+    const double jd = static_cast<double>(j);
+    const double term = comb * std::pow(raw_p, jd) * std::pow(q, nm1 - jd);
+    tail += term;
+    comb = comb * (nm1 - jd) / static_cast<double>(j + 1);
+    if (2.0 * (nm1 - jd) * raw_p < (jd + 1.0) * q) {
+      const double ulp = ulp_above(tail);
+      if (ulp >= tail_ulp_floor_ && term < 0.25 * ulp) break;
+    }
   }
   return raw_p * std::min(1.0, tail);
 }

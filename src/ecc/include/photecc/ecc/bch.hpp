@@ -80,6 +80,9 @@ class BchCode : public BlockCode {
   std::size_t k_;
   std::vector<unsigned> generator_;  // GF(2) coeffs, degree n-k
   std::uint64_t generator_mask_ = 0;
+  /// 2^(n-1069): decoded_ber stops its binomial tail early only while
+  /// the running sum's ulp is at least this (see bch.cpp).
+  double tail_ulp_floor_ = 0.0;
 };
 
 }  // namespace photecc::ecc

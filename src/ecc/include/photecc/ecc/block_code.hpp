@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "photecc/ecc/bitslab.hpp"
@@ -35,21 +36,11 @@ struct RawBerRequirement {
 };
 
 /// Observability record of one BER inversion (sweep-plan counters):
-/// how many root-finder iterations it cost and whether a warm shortcut
-/// (exact hint reuse or warm bracket) served it.  Closed-form
-/// inversions (UncodedScheme) and saturation shortcuts report zero
+/// how many root-finder iterations it cost.  Closed-form inversions
+/// (UncodedScheme) and the guard and saturation shortcuts report zero
 /// iterations.
 struct RawBerSolveTrace {
   int iterations = 0;
-  bool warm = false;
-};
-
-/// A previously solved (target, requirement) pair offered back to
-/// required_raw_ber_warm.  Reused only when the stored target bit-equals
-/// the requested one, so the warm path is bit-identical by construction.
-struct RawBerHint {
-  double target_ber = 0.0;
-  RawBerRequirement requirement{};
 };
 
 /// Outcome of decoding one 64-lane slab of received blocks.  The masks
@@ -124,37 +115,37 @@ class BlockCode {
   /// BER = p - p (1-p)^(n-1).
   [[nodiscard]] virtual double decoded_ber(double raw_p) const = 0;
 
-  /// Inverse of decoded_ber with explicit saturation: the raw channel
-  /// error probability that yields `target_ber` after decoding.  When
-  /// the target is below what p = kMinSearchRawBer produces, the result
-  /// is {kMinSearchRawBer, saturated == true}.  The default
-  /// implementation inverts decoded_ber numerically (decoded_ber must be
-  /// strictly increasing on (0, 0.5], which holds for every code here).
-  /// `trace`, when non-null, receives the solve's iteration count (the
-  /// sweep plans aggregate it); passing nullptr changes nothing.
-  [[nodiscard]] virtual RawBerRequirement required_raw_ber_checked(
-      double target_ber, RawBerSolveTrace* trace = nullptr) const;
+  /// Batch inverse of decoded_ber with explicit saturation: out[i] is
+  /// the raw channel error probability that yields targets[i] after
+  /// decoding.  When a target is below what p = kMinSearchRawBer
+  /// produces, the result is {kMinSearchRawBer, saturated == true}.
+  /// `out` must hold targets.size() entries, and so must `traces` unless
+  /// it is empty (std::invalid_argument); traces[i] receives target i's
+  /// iteration count (the sweep plans aggregate it).  Every target is
+  /// range-checked before any is solved (std::domain_error).
+  ///
+  /// The default implementation inverts decoded_ber numerically
+  /// (decoded_ber must be strictly increasing on (0, 0.5], which holds
+  /// for every code here) by a log-space Brent solve per target.  The
+  /// target-independent values — the p = 0.5 guard and decoded_ber at
+  /// the two bracket edges — are evaluated once per call, so a call over
+  /// a whole BER axis costs little more than its solver iterations.
+  /// Each result is bit-identical to a one-element call.
+  virtual void required_raw_ber_batch(
+      std::span<const double> targets, std::span<RawBerRequirement> out,
+      std::span<RawBerSolveTrace> traces = {}) const;
 
-  /// Warm entry point of the sweep hot path: when `hint` is present and
-  /// hint->target_ber bit-equals `target_ber`, returns
-  /// hint->requirement with zero work (trace: 0 iterations, warm);
-  /// otherwise a cold required_raw_ber_checked — bit-identical to
-  /// calling it directly.
-  [[nodiscard]] RawBerRequirement required_raw_ber_warm(
-      double target_ber, const RawBerHint* hint,
-      RawBerSolveTrace* trace = nullptr) const;
-
-  /// Tolerance-level neighbor seeding (bench/diagnostic only — NOT used
-  /// on export paths, whose byte-identity contract requires bit-equal
-  /// reuse): runs the numeric inversion through math::brent_warm with a
-  /// log-domain bracket around `guess_raw_ber`, converging in 1-3
-  /// iterations for a near-miss guess and falling back to the cold
-  /// bracket (bit-identically) when the guess is stale.  Codes with a
-  /// closed-form required_raw_ber_checked override may differ from
-  /// their override at the solver tolerance (~1e-13 relative).
-  [[nodiscard]] RawBerRequirement required_raw_ber_seeded(
-      double target_ber, double guess_raw_ber,
-      RawBerSolveTrace* trace = nullptr) const;
+  /// One-target required_raw_ber_batch: the requirement for
+  /// `target_ber`, with its iteration count in `*trace` when non-null
+  /// (passing nullptr changes nothing).
+  [[nodiscard]] RawBerRequirement required_raw_ber_checked(
+      double target_ber, RawBerSolveTrace* trace = nullptr) const {
+    RawBerRequirement out;
+    required_raw_ber_batch({&target_ber, 1}, {&out, 1},
+                           trace ? std::span(trace, 1)
+                                 : std::span<RawBerSolveTrace>{});
+    return out;
+  }
 
   /// Convenience wrapper discarding the saturation flag.  Callers that
   /// must distinguish an exact inverse from the clamped bracket edge
@@ -192,6 +183,14 @@ class BlockCode {
   [[nodiscard]] virtual double transmit_duty_bound() const noexcept {
     return 1.0;
   }
+
+ protected:
+  /// The required_raw_ber_batch size contract: throws
+  /// std::invalid_argument unless `out`, and `traces` when non-empty,
+  /// hold targets.size() entries.
+  static void check_batch_spans(std::span<const double> targets,
+                                std::span<const RawBerRequirement> out,
+                                std::span<const RawBerSolveTrace> traces);
 };
 
 using BlockCodePtr = std::shared_ptr<const BlockCode>;

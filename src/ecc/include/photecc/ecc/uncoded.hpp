@@ -31,10 +31,11 @@ class UncodedScheme : public BlockCode {
   [[nodiscard]] BatchDecodeResult decode_batch(
       const codec::BitSlab& received) const override;
   [[nodiscard]] double decoded_ber(double raw_p) const override;
-  /// Identity inverse: the target itself, never saturated; the trace
-  /// (when given) reports zero iterations.
-  [[nodiscard]] RawBerRequirement required_raw_ber_checked(
-      double target_ber, RawBerSolveTrace* trace = nullptr) const override;
+  /// Identity inverse: each target itself, never saturated; the traces
+  /// (when given) report zero iterations.  Targets may reach 0.5.
+  void required_raw_ber_batch(
+      std::span<const double> targets, std::span<RawBerRequirement> out,
+      std::span<RawBerSolveTrace> traces = {}) const override;
 
  private:
   std::size_t width_;

@@ -1,5 +1,6 @@
 #include "photecc/ecc/uncoded.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace photecc::ecc {
@@ -45,12 +46,15 @@ double UncodedScheme::decoded_ber(double raw_p) const {
   return raw_p;
 }
 
-RawBerRequirement UncodedScheme::required_raw_ber_checked(
-    double target_ber, RawBerSolveTrace* trace) const {
-  if (trace) *trace = {};  // closed form: zero iterations
-  if (target_ber <= 0.0 || target_ber > 0.5)
-    throw std::domain_error("required_raw_ber: target outside (0, 0.5]");
-  return {target_ber, false};
+void UncodedScheme::required_raw_ber_batch(
+    std::span<const double> targets, std::span<RawBerRequirement> out,
+    std::span<RawBerSolveTrace> traces) const {
+  check_batch_spans(targets, out, traces);
+  for (const double target : targets)
+    if (target <= 0.0 || target > 0.5)
+      throw std::domain_error("required_raw_ber: target outside (0, 0.5]");
+  std::fill(traces.begin(), traces.end(), RawBerSolveTrace{});
+  for (std::size_t i = 0; i < targets.size(); ++i) out[i] = {targets[i], false};
 }
 
 }  // namespace photecc::ecc

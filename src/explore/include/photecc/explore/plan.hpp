@@ -11,11 +11,13 @@
 //   lower    - the grid's ResultSchema; one channel +
 //              core::ChannelSweepPlan + link budget per distinct (link
 //              variant, ONI count, modulation, environment) combo; one
-//              shared (code, BER) raw-BER requirement table
-//   execute  - axis-contiguous struct-of-arrays cell blocks: a gather
-//              pass decodes indices and reads the requirement table, a
-//              batched pass maps BER -> SNR, an assembly pass finishes
-//              the closed-form power algebra into the ResultTable rows
+//              shared (code, BER) raw-BER requirement table, filled by
+//              one BlockCode::required_raw_ber_batch call per code, and
+//              its SNR per distinct combo modulation
+//   execute  - axis-contiguous cell blocks: each cell decodes its axis
+//              digits, reads its raw BER and SNR from the tables and
+//              finishes the closed-form power algebra into its
+//              ResultTable row
 //
 // Every cell is bit-identical to evaluate_link_cell on the same
 // Scenario (the hoisted tables are computed by the same functions the
@@ -30,15 +32,16 @@
 #include <memory>
 #include <vector>
 
+#include "photecc/ecc/block_code.hpp"
 #include "photecc/explore/grid.hpp"
 #include "photecc/explore/result.hpp"
 
 namespace photecc::explore {
 
 struct PlanOptions {
-  /// Cells per struct-of-arrays block (and per work-stealing unit).
-  /// Any value yields byte-identical results; 64 keeps the scratch
-  /// arrays cache-resident while amortising queue traffic.
+  /// Cells per block (and per work-stealing unit).  Any value yields
+  /// byte-identical results; 64 amortises queue traffic while keeping
+  /// streamed blocks small.
   std::size_t block_size = 64;
 };
 
@@ -81,7 +84,8 @@ class LoweredPlan {
   struct ChannelCombo {
     std::unique_ptr<link::MwsrChannel> channel;  ///< owns; plan points in
     std::unique_ptr<core::ChannelSweepPlan> plan;
-    math::Modulation modulation = math::Modulation::kOok;
+    /// Which snrs_ table serves this combo's modulation.
+    std::size_t snr_table = 0;
     double total_loss_db = 0.0;  ///< channel-invariant link budget
   };
 
@@ -100,13 +104,17 @@ class LoweredPlan {
   // Effective BER values (Scenario's default when undeclared).
   std::vector<double> bers_;
 
-  /// raw_ber of plan code (wi * nc_ + ci) at BER bi, indexed
-  /// [bi * nc_ * nw_ + wi * nc_ + ci] — the shared requirement table
-  /// every channel combo reads.  A cooling axis expands the plan's code
-  /// list to nc_ * nw_ entries (each base code wrapped per weight,
-  /// weight 0 = unwrapped), so inversions still run once per distinct
-  /// (effective code, BER) pair.
-  std::vector<double> requirements_;
+  /// Requirement of plan code pci = wi * nc_ + ci at BER bi, indexed
+  /// [pci * nb_ + bi] — the shared requirement table every channel
+  /// combo reads.  A cooling axis expands the plan's code list to
+  /// nc_ * nw_ entries (each base code wrapped per weight, weight 0 =
+  /// unwrapped), so inversions still run once per distinct (effective
+  /// code, BER) pair.
+  std::vector<ecc::RawBerRequirement> requirements_;
+  /// snr_from_ber_clamped of every requirements_ entry, one table per
+  /// distinct combo modulation: [snr_table * requirements_.size() +
+  /// pci * nb_ + bi].
+  std::vector<double> snrs_;
   std::vector<ChannelCombo> combos_;
 
   SweepStats stats_;

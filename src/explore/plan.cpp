@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -59,9 +60,10 @@ LoweredPlan::LoweredPlan(const ScenarioGrid& grid, PlanOptions options)
   // --- Shared (code, BER) requirement table.  The inversion depends
   // only on the code model, never on the channel, so every combo reads
   // the same table; bit-equal to the per-cell inversion because it IS
-  // the per-cell inversion, run once per distinct pair.  The cooling
-  // axis expands the plan's code list to nc_ * nw_ effective codes —
-  // the same COOL(<base>, w) wrap ScenarioGrid::at applies per cell.
+  // the per-cell inversion, run once per distinct pair (one batch call
+  // per code over the BER axis).  The cooling axis expands the plan's
+  // code list to nc_ * nw_ effective codes — the same COOL(<base>, w)
+  // wrap ScenarioGrid::at applies per cell.
   std::vector<ecc::BlockCodePtr> codes;
   codes.reserve(nc_ * nw_);
   for (std::size_t wi = 0; wi < nw_; ++wi) {
@@ -72,21 +74,21 @@ LoweredPlan::LoweredPlan(const ScenarioGrid& grid, PlanOptions options)
     }
   }
   requirements_.resize(nc_ * nw_ * nb_);
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    for (std::size_t pci = 0; pci < nc_ * nw_; ++pci) {
-      ecc::RawBerSolveTrace trace;
-      requirements_[bi * nc_ * nw_ + pci] =
-          codes[pci]->required_raw_ber_checked(bers_[bi], &trace).raw_ber;
-      ++stats_.root_solves;
+  std::vector<ecc::RawBerSolveTrace> traces(nb_);
+  for (std::size_t pci = 0; pci < nc_ * nw_; ++pci) {
+    codes[pci]->required_raw_ber_batch(
+        bers_, std::span(requirements_).subspan(pci * nb_, nb_), traces);
+    for (const ecc::RawBerSolveTrace& trace : traces)
       stats_.solver_iterations +=
           static_cast<std::size_t>(std::max(0, trace.iterations));
-    }
+    stats_.root_solves += nb_;
   }
 
   // --- Channel combos: one MwsrChannel (one worst-channel scan), one
   // core plan and one link budget per distinct slow-axis digit tuple,
   // overriding the base parameters in ScenarioGrid::at's order.
   combos_.reserve(nv_ * no_ * nm_ * ne_);
+  std::vector<math::Modulation> modulations;  // distinct, first-seen order
   for (std::size_t ei = 0; ei < ne_; ++ei) {
     for (std::size_t mi = 0; mi < nm_; ++mi) {
       for (std::size_t oi = 0; oi < no_; ++oi) {
@@ -106,7 +108,15 @@ LoweredPlan::LoweredPlan(const ScenarioGrid& grid, PlanOptions options)
               std::make_unique<link::MwsrChannel>(std::move(params));
           combo.plan = std::make_unique<core::ChannelSweepPlan>(
               *combo.channel, codes, system);
-          combo.modulation = combo.channel->params().modulation;
+          const math::Modulation modulation =
+              combo.channel->params().modulation;
+          combo.snr_table =
+              static_cast<std::size_t>(std::find(modulations.begin(),
+                                                 modulations.end(),
+                                                 modulation) -
+                                       modulations.begin());
+          if (combo.snr_table == modulations.size())
+            modulations.push_back(modulation);
           combo.total_loss_db =
               link::compute_link_budget(*combo.channel,
                                         combo.plan->solver().channel_index())
@@ -116,27 +126,31 @@ LoweredPlan::LoweredPlan(const ScenarioGrid& grid, PlanOptions options)
       }
     }
   }
+
+  // --- SNR table: the BER -> SNR map of every requirement, once per
+  // distinct combo modulation (the same snr_from_ber_clamped call the
+  // per-cell path makes, on the same inputs).
+  snrs_.reserve(modulations.size() * requirements_.size());
+  for (const math::Modulation modulation : modulations)
+    for (const ecc::RawBerRequirement& requirement : requirements_)
+      snrs_.push_back(
+          math::snr_from_ber_clamped(modulation, requirement.raw_ber));
   stats_.channels_lowered = combos_.size();
   stats_.lower_time_s = seconds_since(start);
 }
 
 void LoweredPlan::execute_block(std::size_t begin, std::size_t end,
                                 ResultTable& cells) const {
-  const std::size_t n = end - begin;
-  // Struct-of-arrays scratch: decode once, then run the transcendental
-  // BER -> SNR map as one tight batch before any per-cell assembly.
-  std::vector<std::size_t> bi(n), pci(n), combo(n);
-  std::vector<double> raw_ber(n), snr(n);
-
-  for (std::size_t k = 0; k < n; ++k) {
+  const std::size_t table = nc_ * nw_ * nb_;
+  for (std::size_t cell = begin; cell < end; ++cell) {
     // Mixed-radix decode in grid axis order; the NoC axes are absent by
     // construction, so their radix-1 digits vanish.
-    std::size_t rem = begin + k;
+    std::size_t rem = cell;
     const std::size_t ci = rem % nc_;
     rem /= nc_;
     const std::size_t wi = rem % nw_;
     rem /= nw_;
-    bi[k] = rem % nb_;
+    const std::size_t bi = rem % nb_;
     rem /= nb_;
     const std::size_t vi = rem % nv_;
     rem /= nv_;
@@ -145,20 +159,13 @@ void LoweredPlan::execute_block(std::size_t begin, std::size_t end,
     const std::size_t mi = rem % nm_;
     rem /= nm_;
     const std::size_t ei = rem % ne_;
-    combo[k] = vi + nv_ * (oi + no_ * (mi + nm_ * ei));
-    pci[k] = wi * nc_ + ci;
-    raw_ber[k] = requirements_[bi[k] * nc_ * nw_ + pci[k]];
-  }
-
-  for (std::size_t k = 0; k < n; ++k)
-    snr[k] = math::snr_from_ber_clamped(combos_[combo[k]].modulation,
-                                        raw_ber[k]);
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const ChannelCombo& c = combos_[combo[k]];
-    store_link_cell(cells, begin + k,
-                    c.plan->evaluate_with_solution(pci[k], bers_[bi[k]],
-                                                   raw_ber[k], snr[k]),
+    const ChannelCombo& c = combos_[vi + nv_ * (oi + no_ * (mi + nm_ * ei))];
+    const std::size_t pci = wi * nc_ + ci;
+    const std::size_t entry = pci * nb_ + bi;
+    store_link_cell(cells, cell,
+                    c.plan->evaluate_with_solution(
+                        pci, bers_[bi], requirements_[entry].raw_ber,
+                        snrs_[c.snr_table * table + entry]),
                     c.total_loss_db, *c.channel, has_cooling_axis_);
   }
 }

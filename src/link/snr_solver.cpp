@@ -91,7 +91,7 @@ LinkOperatingPoint OperatingPointSolver::solve(
   // solution for the bit-equal target is reused verbatim, anything else
   // re-runs the inversion — bit-identical either way.
   if (previous && previous->target_ber == target_ber) {
-    if (trace) *trace = {0, true};
+    if (trace) *trace = {};
     return solve_from_raw_ber(previous->raw_ber, target_ber, environment,
                               code.transmit_duty_bound());
   }

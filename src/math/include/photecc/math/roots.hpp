@@ -3,7 +3,10 @@
 #ifndef PHOTECC_MATH_ROOTS_HPP
 #define PHOTECC_MATH_ROOTS_HPP
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <optional>
 
 namespace photecc::math {
@@ -21,18 +24,6 @@ struct RootResult {
   double residual = 0.0;
   int iterations = 0;
   bool converged = false;
-  /// True when a warm-start shortcut produced the result (exact guess
-  /// hit or a valid warm bracket); false on every cold solve, including
-  /// the cold fallback of brent_warm.
-  bool warm = false;
-};
-
-/// Warm-start hint for brent_warm: a guess (typically the neighboring
-/// cell's root) plus a half-width `window` for the shrunken bracket
-/// [guess - window, guess + window] to try before the cold bracket.
-struct WarmStart {
-  double guess = 0.0;
-  double window = 0.0;  ///< <= 0 disables the warm-bracket attempt
 };
 
 /// Bisection on [lo, hi].  f(lo) and f(hi) must bracket a sign change;
@@ -41,42 +32,91 @@ std::optional<RootResult> bisect(const std::function<double(double)>& f,
                                  double lo, double hi,
                                  const RootOptions& opts = {});
 
+/// Brent's method on [lo, hi] with f(lo) = `flo` and f(hi) = `fhi`
+/// already evaluated by the caller (bracketing required).  The iterates,
+/// the root and the iteration count are exactly those of
+/// brent(f, lo, hi, opts) whenever flo and fhi are bit-equal to f(lo)
+/// and f(hi): callers that solve many targets on one bracket evaluate
+/// the shared part of the edge values once.
+template <class F>
+std::optional<RootResult> brent(F&& f, double lo, double hi, double flo,
+                                double fhi, const RootOptions& opts = {}) {
+  double a = lo, b = hi;
+  double fa = flo, fb = fhi;
+  if (fa == 0.0) return RootResult{a, 0.0, 0, true};
+  if (fb == 0.0) return RootResult{b, 0.0, 0, true};
+  if (std::signbit(fa) == std::signbit(fb)) return std::nullopt;
+
+  double c = a, fc = fa;
+  double d = b - a, e = d;
+  RootResult r;
+  for (r.iterations = 0; r.iterations < opts.max_iterations; ++r.iterations) {
+    if (std::abs(fc) < std::abs(fb)) {
+      a = b; b = c; c = a;
+      fa = fb; fb = fc; fc = fa;
+    }
+    const double tol = 2.0 * std::numeric_limits<double>::epsilon() *
+                           std::abs(b) + 0.5 * opts.x_tolerance;
+    const double m = 0.5 * (c - b);
+    if (std::abs(m) <= tol || fb == 0.0 ||
+        (opts.f_tolerance > 0.0 && std::abs(fb) < opts.f_tolerance)) {
+      r.root = b;
+      r.residual = fb;
+      r.converged = true;
+      return r;
+    }
+    if (std::abs(e) >= tol && std::abs(fa) > std::abs(fb)) {
+      // Attempt inverse quadratic interpolation / secant.
+      const double s = fb / fa;
+      double p, q;
+      if (a == c) {
+        p = 2.0 * m * s;
+        q = 1.0 - s;
+      } else {
+        const double qq = fa / fc;
+        const double rr = fb / fc;
+        p = s * (2.0 * m * qq * (qq - rr) - (b - a) * (rr - 1.0));
+        q = (qq - 1.0) * (rr - 1.0) * (s - 1.0);
+      }
+      if (p > 0.0) q = -q; else p = -p;
+      if (2.0 * p < std::min(3.0 * m * q - std::abs(tol * q),
+                             std::abs(e * q))) {
+        e = d;
+        d = p / q;
+      } else {
+        d = m;
+        e = m;
+      }
+    } else {
+      d = m;
+      e = m;
+    }
+    a = b;
+    fa = fb;
+    b += (std::abs(d) > tol) ? d : (m > 0.0 ? tol : -tol);
+    fb = f(b);
+    if (std::signbit(fb) == std::signbit(fc)) {
+      c = a;
+      fc = fa;
+      d = b - a;
+      e = d;
+    }
+  }
+  r.root = b;
+  r.residual = fb;
+  r.converged = false;
+  return r;
+}
+
 /// Brent's method on [lo, hi] (bracketing required).  Faster convergence
 /// than bisection with the same robustness guarantees.
-std::optional<RootResult> brent(const std::function<double(double)>& f,
-                                double lo, double hi,
-                                const RootOptions& opts = {});
-
-/// Warm-started Brent on [lo, hi] — the guess/bracket-reuse entry point
-/// of the sweep hot path.  The contract, in order:
-///   1. guess inside [lo, hi] with f(guess) == 0.0 exactly: returns the
-///      guess with zero iterations (warm == true).
-///   2. warm.window > 0 and the shrunken bracket
-///      [max(lo, guess - window), min(hi, guess + window)] shows a sign
-///      change: Brent on that bracket (warm == true) — typically 1-3
-///      iterations for a near-root guess.
-///   3. Anything else — guess outside [lo, hi] or non-finite, stale
-///      window without a sign change, or a monotonicity-violating guess
-///      (f(guess) opposing the sign of both warm endpoints, the
-///      local-dip signature) — falls back to brent(f, lo, hi, opts) and
-///      is bit-identical to the cold solve (warm == false).
-std::optional<RootResult> brent_warm(const std::function<double(double)>& f,
-                                     double lo, double hi,
-                                     const WarmStart& warm,
-                                     const RootOptions& opts = {});
-
-/// Newton-Raphson with analytic derivative, safeguarded by an optional
-/// bracket: steps leaving [lo, hi] are replaced by bisection steps.
-std::optional<RootResult> newton(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& df,
-                                 double x0, double lo, double hi,
-                                 const RootOptions& opts = {});
-
-/// Finds a bracketing interval for a monotone function by geometric
-/// expansion from [lo, hi]; returns the expanded (lo, hi) or nullopt.
-std::optional<std::pair<double, double>> expand_bracket(
-    const std::function<double(double)>& f, double lo, double hi,
-    int max_doublings = 60);
+template <class F>
+std::optional<RootResult> brent(F&& f, double lo, double hi,
+                                const RootOptions& opts = {}) {
+  const double flo = f(lo);
+  const double fhi = f(hi);
+  return brent(f, lo, hi, flo, fhi, opts);
+}
 
 }  // namespace photecc::math
 

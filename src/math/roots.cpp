@@ -1,6 +1,5 @@
 #include "photecc/math/roots.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace photecc::math {
@@ -37,169 +36,6 @@ std::optional<RootResult> bisect(const std::function<double(double)>& f,
   r.residual = f(r.root);
   r.converged = (hi - lo) < 1e4 * opts.x_tolerance;
   return r;
-}
-
-std::optional<RootResult> brent(const std::function<double(double)>& f,
-                                double lo, double hi,
-                                const RootOptions& opts) {
-  double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
-  if (fa == 0.0) return RootResult{a, 0.0, 0, true};
-  if (fb == 0.0) return RootResult{b, 0.0, 0, true};
-  if (std::signbit(fa) == std::signbit(fb)) return std::nullopt;
-
-  double c = a, fc = fa;
-  double d = b - a, e = d;
-  RootResult r;
-  for (r.iterations = 0; r.iterations < opts.max_iterations; ++r.iterations) {
-    if (std::abs(fc) < std::abs(fb)) {
-      a = b; b = c; c = a;
-      fa = fb; fb = fc; fc = fa;
-    }
-    const double tol = 2.0 * std::numeric_limits<double>::epsilon() *
-                           std::abs(b) + 0.5 * opts.x_tolerance;
-    const double m = 0.5 * (c - b);
-    if (std::abs(m) <= tol || fb == 0.0 ||
-        (opts.f_tolerance > 0.0 && std::abs(fb) < opts.f_tolerance)) {
-      r.root = b;
-      r.residual = fb;
-      r.converged = true;
-      return r;
-    }
-    if (std::abs(e) >= tol && std::abs(fa) > std::abs(fb)) {
-      // Attempt inverse quadratic interpolation / secant.
-      const double s = fb / fa;
-      double p, q;
-      if (a == c) {
-        p = 2.0 * m * s;
-        q = 1.0 - s;
-      } else {
-        const double qq = fa / fc;
-        const double rr = fb / fc;
-        p = s * (2.0 * m * qq * (qq - rr) - (b - a) * (rr - 1.0));
-        q = (qq - 1.0) * (rr - 1.0) * (s - 1.0);
-      }
-      if (p > 0.0) q = -q; else p = -p;
-      if (2.0 * p < std::min(3.0 * m * q - std::abs(tol * q),
-                             std::abs(e * q))) {
-        e = d;
-        d = p / q;
-      } else {
-        d = m;
-        e = m;
-      }
-    } else {
-      d = m;
-      e = m;
-    }
-    a = b;
-    fa = fb;
-    b += (std::abs(d) > tol) ? d : (m > 0.0 ? tol : -tol);
-    fb = f(b);
-    if (std::signbit(fb) == std::signbit(fc)) {
-      c = a;
-      fc = fa;
-      d = b - a;
-      e = d;
-    }
-  }
-  r.root = b;
-  r.residual = fb;
-  r.converged = false;
-  return r;
-}
-
-std::optional<RootResult> brent_warm(const std::function<double(double)>& f,
-                                     double lo, double hi,
-                                     const WarmStart& warm,
-                                     const RootOptions& opts) {
-  if (lo < hi && std::isfinite(warm.guess) && warm.guess >= lo &&
-      warm.guess <= hi) {
-    const double fg = f(warm.guess);
-    if (fg == 0.0) return RootResult{warm.guess, 0.0, 0, true, true};
-    if (warm.window > 0.0 && std::isfinite(warm.window)) {
-      const double wlo = std::max(lo, warm.guess - warm.window);
-      const double whi = std::min(hi, warm.guess + warm.window);
-      if (wlo < whi && warm.guess > wlo && warm.guess < whi) {
-        const double flo = f(wlo);
-        const double fhi = f(whi);
-        // A monotone f crossing once inside the window has endpoint
-        // signs that differ AND the guess's sign matching one of them.
-        // Same-sign endpoints mean the window is stale (no crossing) or
-        // the guess sits in a local dip/bump (f(guess) opposing both
-        // ends — a monotonicity violation); both reject to cold.
-        const bool brackets = flo != 0.0 && fhi != 0.0 &&
-                              std::signbit(flo) != std::signbit(fhi);
-        if (brackets) {
-          auto result = brent(f, wlo, whi, opts);
-          if (result && result->converged) {
-            result->warm = true;
-            return result;
-          }
-        }
-      }
-    }
-  }
-  return brent(f, lo, hi, opts);  // cold fallback: bit-identical
-}
-
-std::optional<RootResult> newton(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& df,
-                                 double x0, double lo, double hi,
-                                 const RootOptions& opts) {
-  if (!(lo <= x0 && x0 <= hi)) return std::nullopt;
-  double x = x0;
-  RootResult r;
-  for (r.iterations = 0; r.iterations < opts.max_iterations; ++r.iterations) {
-    const double fx = f(x);
-    if (opts.f_tolerance > 0.0 && std::abs(fx) < opts.f_tolerance) {
-      r.root = x;
-      r.residual = fx;
-      r.converged = true;
-      return r;
-    }
-    const double dfx = df(x);
-    double next;
-    if (dfx == 0.0 || !std::isfinite(dfx)) {
-      next = 0.5 * (lo + hi);  // derivative unusable: bisect the bracket
-    } else {
-      next = x - fx / dfx;
-      if (next < lo || next > hi) next = 0.5 * (lo + hi);
-    }
-    // Maintain the bracket if f changes sign across it.
-    if (std::abs(next - x) < opts.x_tolerance) {
-      r.root = next;
-      r.residual = f(next);
-      r.converged = true;
-      return r;
-    }
-    if (fx > 0.0) hi = std::min(hi, x); else lo = std::max(lo, x);
-    x = next;
-  }
-  r.root = x;
-  r.residual = f(x);
-  r.converged = false;
-  return r;
-}
-
-std::optional<std::pair<double, double>> expand_bracket(
-    const std::function<double(double)>& f, double lo, double hi,
-    int max_doublings) {
-  if (!(lo < hi)) return std::nullopt;
-  double flo = f(lo), fhi = f(hi);
-  for (int i = 0; i < max_doublings; ++i) {
-    if (std::signbit(flo) != std::signbit(fhi) || flo == 0.0 || fhi == 0.0)
-      return std::make_pair(lo, hi);
-    const double w = hi - lo;
-    if (std::abs(flo) < std::abs(fhi)) {
-      lo -= w;
-      flo = f(lo);
-    } else {
-      hi += w;
-      fhi = f(hi);
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace photecc::math

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,78 +186,120 @@ TEST(BerModel, CodingGainSimilarAcrossFormats) {
   EXPECT_NEAR(ook, pam4, 0.2);
 }
 
-// --- Warm-started requirement entry points (the sweep hot path).
-
-TEST(RequiredRawBerWarm, BitEqualHintIsReusedWithZeroWork) {
-  const HammingCode h74(3);
-  const double target = 1e-9;
-  RawBerSolveTrace cold_trace;
-  const RawBerRequirement cold =
-      h74.required_raw_ber_checked(target, &cold_trace);
-  EXPECT_GT(cold_trace.iterations, 0);
-  EXPECT_FALSE(cold_trace.warm);
-
-  RawBerHint hint;
-  hint.target_ber = target;
-  hint.requirement = cold;
-  RawBerSolveTrace warm_trace;
-  const RawBerRequirement warm =
-      h74.required_raw_ber_warm(target, &hint, &warm_trace);
-  EXPECT_TRUE(warm_trace.warm);
-  EXPECT_EQ(warm_trace.iterations, 0);
-  EXPECT_EQ(warm.raw_ber, cold.raw_ber);  // bit-equal by construction
-  EXPECT_EQ(warm.saturated, cold.saturated);
-}
-
-TEST(RequiredRawBerWarm, MismatchedHintRunsColdBitIdentically) {
-  const HammingCode h74(3);
-  RawBerHint hint;
-  hint.target_ber = 1e-8;  // hint from a different BER target
-  hint.requirement = h74.required_raw_ber_checked(1e-8);
-  RawBerSolveTrace trace;
-  const RawBerRequirement warm =
-      h74.required_raw_ber_warm(1e-9, &hint, &trace);
-  const RawBerRequirement cold = h74.required_raw_ber_checked(1e-9);
-  EXPECT_FALSE(trace.warm);
-  EXPECT_GT(trace.iterations, 0);
-  EXPECT_EQ(warm.raw_ber, cold.raw_ber);
-}
-
-TEST(RequiredRawBerSeeded, NearGuessConvergesFastToTheColdRoot) {
-  const HammingCode h74(3);
-  const double target = 1e-9;
-  RawBerSolveTrace cold_trace;
-  const RawBerRequirement cold =
-      h74.required_raw_ber_checked(target, &cold_trace);
-
-  RawBerSolveTrace seeded_trace;
-  const RawBerRequirement seeded =
-      h74.required_raw_ber_seeded(target, cold.raw_ber, &seeded_trace);
-  EXPECT_TRUE(seeded_trace.warm);
-  EXPECT_LT(seeded_trace.iterations, cold_trace.iterations);
-  // Tolerance-level agreement: the seeded solve is a diagnostic /
-  // bench entry, not an export path, so bit-identity is not promised.
-  EXPECT_NEAR(seeded.raw_ber / cold.raw_ber, 1.0, 1e-9);
-}
-
-TEST(RequiredRawBerSeeded, UselessGuessFallsBackCold) {
-  const HammingCode h74(3);
-  RawBerSolveTrace trace;
-  const RawBerRequirement seeded =
-      h74.required_raw_ber_seeded(1e-9, -1.0, &trace);
-  const RawBerRequirement cold = h74.required_raw_ber_checked(1e-9);
-  EXPECT_FALSE(trace.warm);
-  EXPECT_EQ(seeded.raw_ber, cold.raw_ber);
-}
-
 TEST(RequiredRawBerTrace, UncodedClosedFormReportsZeroIterations) {
   const UncodedScheme uncoded{64};
   RawBerSolveTrace trace;
   const RawBerRequirement req =
       uncoded.required_raw_ber_checked(1e-9, &trace);
   EXPECT_EQ(trace.iterations, 0);
-  EXPECT_FALSE(trace.warm);
   EXPECT_EQ(req.raw_ber, 1e-9);
+}
+
+// --- Batch inversion: one call per code over a list of targets.
+
+/// Forwards to H(7,4) and counts decoded_ber evaluations.
+class CountingCode final : public BlockCode {
+ public:
+  std::string name() const override { return inner_.name(); }
+  std::size_t block_length() const noexcept override {
+    return inner_.block_length();
+  }
+  std::size_t message_length() const noexcept override {
+    return inner_.message_length();
+  }
+  std::size_t min_distance() const noexcept override {
+    return inner_.min_distance();
+  }
+  BitVec encode(const BitVec& message) const override {
+    return inner_.encode(message);
+  }
+  DecodeResult decode(const BitVec& received) const override {
+    return inner_.decode(received);
+  }
+  double decoded_ber(double raw_p) const override {
+    ++calls;
+    return inner_.decoded_ber(raw_p);
+  }
+
+  mutable int calls = 0;
+
+ private:
+  HammingCode inner_{3};
+};
+
+// Targets spanning the p = 0.5 guard (0.495 is above H(7,4)'s
+// decoded_ber(0.5)), ordinary roots and the 1e-18 saturation edge.
+const std::vector<double> kBatchTargets = {0.495, 1e-2, 1e-6, 1e-9, 1e-12,
+                                           1e-15, 1e-30, 1e-40, 1e-9};
+
+TEST(RequiredRawBerBatch, MatchesOneTargetCallsBitForBit) {
+  for (const char* name : {"w/o ECC", "H(7,4)", "eH(64,57)", "REP(5,1)",
+                           "BCH(15,5,3)", "BCH(127,113,2)"}) {
+    const auto code = make_code(name);
+    std::vector<RawBerRequirement> batch(kBatchTargets.size());
+    std::vector<RawBerRequirement> untraced(kBatchTargets.size());
+    std::vector<RawBerSolveTrace> traces(kBatchTargets.size());
+    code->required_raw_ber_batch(kBatchTargets, batch, traces);
+    code->required_raw_ber_batch(kBatchTargets, untraced);
+    for (std::size_t i = 0; i < kBatchTargets.size(); ++i) {
+      RawBerSolveTrace trace;
+      const RawBerRequirement one =
+          code->required_raw_ber_checked(kBatchTargets[i], &trace);
+      EXPECT_EQ(batch[i].raw_ber, one.raw_ber) << name << " #" << i;
+      EXPECT_EQ(batch[i].saturated, one.saturated) << name << " #" << i;
+      EXPECT_EQ(traces[i].iterations, trace.iterations) << name << " #" << i;
+      EXPECT_EQ(untraced[i].raw_ber, one.raw_ber) << name << " #" << i;
+    }
+  }
+}
+
+TEST(RequiredRawBerBatch, EvaluatesTheTargetIndependentValuesOncePerCall) {
+  // Three shared evaluations (the p = 0.5 guard and both bracket edges)
+  // per call, then one per Brent iteration; guarded and saturated
+  // targets cost nothing more.
+  const CountingCode code;
+  std::vector<RawBerRequirement> out(kBatchTargets.size());
+  std::vector<RawBerSolveTrace> traces(kBatchTargets.size());
+  code.required_raw_ber_batch(kBatchTargets, out, traces);
+  int iterations = 0;
+  for (const RawBerSolveTrace& trace : traces) iterations += trace.iterations;
+  EXPECT_EQ(out.front().raw_ber, 0.5);  // the guard
+  EXPECT_TRUE(out[7].saturated);        // 1e-40
+  EXPECT_GT(iterations, 0);
+  EXPECT_EQ(code.calls, 3 + iterations);
+}
+
+TEST(RequiredRawBerBatch, RejectsBadTargetsBeforeSolvingAny) {
+  const CountingCode code;
+  const std::vector<double> targets = {1e-9, 0.5};
+  std::vector<RawBerRequirement> out(targets.size());
+  EXPECT_THROW(code.required_raw_ber_batch(targets, out),
+               std::domain_error);
+  EXPECT_EQ(code.calls, 0);
+  const UncodedScheme uncoded{8};
+  const std::vector<double> half = {0.5};
+  std::vector<RawBerRequirement> one(1);
+  uncoded.required_raw_ber_batch(half, one);  // (0, 0.5] for the identity
+  EXPECT_EQ(one[0].raw_ber, 0.5);
+  const std::vector<double> zero = {0.0};
+  EXPECT_THROW(uncoded.required_raw_ber_batch(zero, one), std::domain_error);
+}
+
+TEST(RequiredRawBerBatch, RejectsMismatchedSpans) {
+  const CountingCode code;
+  const std::vector<double> targets = {1e-9, 1e-6};
+  std::vector<RawBerRequirement> short_out(1);
+  std::vector<RawBerRequirement> out(2);
+  std::vector<RawBerSolveTrace> short_traces(1);
+  EXPECT_THROW(code.required_raw_ber_batch(targets, short_out),
+               std::invalid_argument);
+  EXPECT_THROW(code.required_raw_ber_batch(targets, out, short_traces),
+               std::invalid_argument);
+  const UncodedScheme uncoded{8};
+  EXPECT_THROW(uncoded.required_raw_ber_batch(targets, short_out),
+               std::invalid_argument);
+  code.required_raw_ber_batch({}, {});  // empty: no work at all
+  EXPECT_EQ(code.calls, 0);
 }
 
 }  // namespace

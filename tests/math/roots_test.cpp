@@ -56,144 +56,38 @@ TEST(Brent, HandlesSteepTransition) {
   EXPECT_NEAR(result->root, 0.3, 1e-9);
 }
 
-TEST(Newton, ConvergesQuadratically) {
-  RootOptions opts;
-  opts.f_tolerance = 1e-14;
-  const auto result = newton([](double x) { return x * x - 2.0; },
-                             [](double x) { return 2.0 * x; }, 1.0, 0.0,
-                             2.0, opts);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->converged);
-  EXPECT_NEAR(result->root, std::sqrt(2.0), 1e-10);
-  EXPECT_LT(result->iterations, 10);
-}
-
-TEST(Newton, FallsBackToBisectionWhenStepLeavesBracket) {
-  // Derivative nearly zero at the start point would throw Newton far
-  // outside; the safeguarded version must still converge.
-  const auto result = newton(
-      [](double x) { return std::atan(x - 1.5); },
-      [](double x) {
-        const double u = x - 1.5;
-        return 1.0 / (1.0 + u * u);
-      },
-      100.0, -200.0, 200.0);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_NEAR(result->root, 1.5, 1e-7);
-}
-
-TEST(Newton, RejectsStartOutsideBracket) {
-  EXPECT_FALSE(newton([](double x) { return x; },
-                      [](double) { return 1.0; }, 5.0, 0.0, 1.0));
-}
-
-TEST(ExpandBracket, GrowsUntilSignChange) {
-  const auto bracket =
-      expand_bracket([](double x) { return x - 100.0; }, 0.0, 1.0);
-  ASSERT_TRUE(bracket.has_value());
-  EXPECT_LE(bracket->first, 100.0);
-  EXPECT_GE(bracket->second, 100.0);
-}
-
-TEST(ExpandBracket, GivesUpOnConstantSign) {
-  EXPECT_FALSE(expand_bracket([](double) { return 1.0; }, 0.0, 1.0, 8));
-}
-
-// --- brent_warm: the warm-start contract.  Everything that cannot use
-// the warm bracket must fall back to the cold brent BIT-identically —
-// same root, same iteration count, warm == false.
-
-namespace {
-
-double cubic(double x) { return x * x * x - 8.0; }
-
-}  // namespace
-
-TEST(BrentWarm, StaleGuessOutsideRangeFallsBackBitIdentically) {
-  const auto cold = brent(cubic, 0.0, 5.0);
-  ASSERT_TRUE(cold.has_value());
-  WarmStart warm;
-  warm.guess = 42.0;  // outside [0, 5]: a guess from some other regime
-  warm.window = 0.5;
-  const auto result = brent_warm(cubic, 0.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->warm);
-  EXPECT_EQ(result->root, cold->root);  // bit-equal, not just near
-  EXPECT_EQ(result->iterations, cold->iterations);
-  EXPECT_EQ(result->residual, cold->residual);
-}
-
-TEST(BrentWarm, NonFiniteGuessFallsBackBitIdentically) {
-  const auto cold = brent(cubic, 0.0, 5.0);
-  ASSERT_TRUE(cold.has_value());
-  WarmStart warm;
-  warm.guess = std::numeric_limits<double>::quiet_NaN();
-  warm.window = 0.5;
-  const auto result = brent_warm(cubic, 0.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->warm);
-  EXPECT_EQ(result->root, cold->root);
-  EXPECT_EQ(result->iterations, cold->iterations);
-}
-
-TEST(BrentWarm, StaleWindowWithoutSignChangeFallsBackBitIdentically) {
-  const auto cold = brent(cubic, 0.0, 5.0);
-  ASSERT_TRUE(cold.has_value());
-  WarmStart warm;
-  warm.guess = 4.0;   // inside the range but far from the root at 2
-  warm.window = 0.5;  // [3.5, 4.5]: f > 0 throughout, no bracket
-  const auto result = brent_warm(cubic, 0.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->warm);
-  EXPECT_EQ(result->root, cold->root);
-  EXPECT_EQ(result->iterations, cold->iterations);
-}
-
-TEST(BrentWarm, GuessExactlyAtRootReturnsZeroIterationsWarm) {
-  WarmStart warm;
-  warm.guess = 2.0;  // cubic(2) == 0 exactly
-  warm.window = 0.5;
-  const auto result = brent_warm(cubic, 0.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->warm);
-  EXPECT_TRUE(result->converged);
-  EXPECT_EQ(result->root, 2.0);
-  EXPECT_EQ(result->iterations, 0);
-  EXPECT_EQ(result->residual, 0.0);
-}
-
-TEST(BrentWarm, MonotonicityViolatingGuessIsRejectedBitIdentically) {
-  // A local dip: the function crosses zero near 3, but around the guess
-  // at 0 it dips negative while both warm-window endpoints stay on the
-  // same side of zero once widened — the warm bracket has no sign
-  // change, so the guess must be rejected for the cold search.
-  const auto dip = [](double x) {
-    return (x - 3.0) + 2.0 * std::exp(-(x * x) * 4.0);
+TEST(Brent, KnownEdgeValuesGiveTheSameIterates) {
+  // The entry that takes f(lo) and f(hi) from the caller must walk the
+  // same iterates as the one that evaluates them: same root, residual
+  // and iteration count, bit for bit, and two fewer calls of f.
+  int calls = 0;
+  const auto f = [&calls](double x) {
+    ++calls;
+    return std::log10(x * x * x + 1e-9) + 3.0;
   };
-  const auto cold = brent(dip, -1.0, 5.0);
-  ASSERT_TRUE(cold.has_value());
-  WarmStart warm;
-  warm.guess = 0.1;    // dip(0.1) < 0 locally...
-  warm.window = 0.05;  // ...and dip < 0 at both 0.05 and 0.15
-  const auto result = brent_warm(dip, -1.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->warm);
-  EXPECT_EQ(result->root, cold->root);
-  EXPECT_EQ(result->iterations, cold->iterations);
+  RootOptions opts;
+  opts.x_tolerance = 1e-13;
+  const auto cold = brent(f, 0.0, 2.0, opts);
+  const int cold_calls = calls;
+  const double flo = f(0.0);
+  const double fhi = f(2.0);
+  calls = 0;
+  const auto seeded = brent(f, 0.0, 2.0, flo, fhi, opts);
+  ASSERT_TRUE(cold && seeded);
+  EXPECT_TRUE(seeded->converged);
+  EXPECT_EQ(seeded->root, cold->root);
+  EXPECT_EQ(seeded->residual, cold->residual);
+  EXPECT_EQ(seeded->iterations, cold->iterations);
+  EXPECT_EQ(calls, cold_calls - 2);
 }
 
-TEST(BrentWarm, TightWarmBracketConvergesInFewerIterations) {
-  const auto cold = brent(cubic, 0.0, 5.0);
-  ASSERT_TRUE(cold.has_value());
-  WarmStart warm;
-  warm.guess = 2.0 + 1e-4;  // near-root guess from a neighbouring cell
-  warm.window = 0.01;
-  const auto result = brent_warm(cubic, 0.0, 5.0, warm);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->warm);
-  EXPECT_TRUE(result->converged);
-  EXPECT_NEAR(result->root, 2.0, 1e-10);
-  EXPECT_LT(result->iterations, cold->iterations);
+TEST(Brent, KnownEdgeValuesWithoutSignChangeAreRejected) {
+  const auto f = [](double x) { return x + 1.0; };
+  EXPECT_FALSE(brent(f, 0.0, 1.0, f(0.0), f(1.0)).has_value());
+  const auto at_edge = brent(f, -1.0, 1.0, 0.0, 2.0);
+  ASSERT_TRUE(at_edge.has_value());
+  EXPECT_EQ(at_edge->root, -1.0);
+  EXPECT_EQ(at_edge->iterations, 0);
 }
 
 }  // namespace
